@@ -79,11 +79,12 @@ def _mono_transpose(space, s):
 class CliffordElement:
     """An element of C(V, q); immutable by convention."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "coeffs", "_hash")
 
     def __init__(self, space, coeffs):
         self.space = space
         self.coeffs = {s: c for s, c in coeffs.items() if not c.is_zero()}
+        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -187,7 +188,11 @@ class CliffordElement:
         return not self.__eq__(other)
 
     def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        # computed on first use: elements are hashed again and again as
+        # memo keys, and are never changed once hashed
+        if self._hash is None:
+            self._hash = hash(tuple(sorted(self.coeffs.items())))
+        return self._hash
 
     def is_zero(self):
         return not self.coeffs
@@ -293,16 +298,22 @@ class CliffordElement:
 
     # -- inversion -------------------------------------------------------------
 
+    def norm_inverse(self):
+        """conj(x)/N(x) when N(x) is a nonzero scalar, else None."""
+        xc = self.conj()
+        n = self * xc
+        if n.is_scalar() and not n.scalar_part().is_zero():
+            # x * conj(x) = s forces left-multiplication by x onto, hence
+            # bijective, and the one-sided inverse is two-sided.
+            return xc * n.scalar_part().inverse()
+        return None
+
     def inverse(self):
         """Two-sided inverse; conj(x)/N(x) when the norm is a nonzero scalar,
         else an exact linear solve on the left-multiplication operator."""
-        n = self.norm()
-        if n.is_scalar():
-            s = n.scalar_part()
-            if not s.is_zero():
-                # x * conj(x) = s forces left-multiplication by x onto, hence
-                # bijective, and the one-sided inverse is two-sided.
-                return self.conj() * s.inverse()
+        inv = self.norm_inverse()
+        if inv is not None:
+            return inv
         space = self.space
         field = space.field
         monos = _all_monomials(space.dim)

@@ -18,16 +18,36 @@ class InfiniteField(ValueError):
     """An enumeration was requested over Q."""
 
 
+# Miller-Rabin with these bases decides primality exactly below the bound
+# (Sorenson and Webster); the first twelve alone are exact only below
+# 3.18e23
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; moduli from PRIME_BOUND up are refused."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"modulus {n} exceeds the supported bound "
+                         f"{PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -99,61 +99,59 @@ def matrix_involution(m, kind):
 # -- group membership ---------------------------------------------------------
 
 
-def _conjugation_stable(x, tests, want):
-    """x t grade(x)^-1 lands in `want` ("vector" or "paravector") for all t."""
-    try:
-        ginv = x.inverse().grade_involution()
-    except NotInvertible:
-        return False
-    for t in tests:
-        img = x * t * ginv
-        if want == "vector":
-            if not img.is_vector():
-                return False
-        elif not img.is_paravector():
-            return False
-    return True
+def probe_elements(space, kind):
+    """The basis of V, preceded by 1 for kind "paravector".  Conjugation and
+    landing conditions are linear in the probe, so these decide them."""
+    key = ("probes", kind)
+    probes = space._ext_cache.get(key)
+    if probes is None:
+        probes = tuple(CliffordElement.monomial(space, (i,))
+                       for i in range(space.dim))
+        if kind == "paravector":
+            probes = (CliffordElement.one(space),) + probes
+        space._ext_cache[key] = probes
+    return probes
 
 
-def _vector_tests(space):
-    return [CliffordElement.monomial(space, (i,)) for i in range(space.dim)]
-
-
-def _paravector_tests(space):
-    return [CliffordElement.one(space)] + _vector_tests(space)
+def lands(x, kind):
+    """x lies in V (kind "vector") or in F+V (kind "paravector")."""
+    return x.is_paravector() if kind == "paravector" else x.is_vector()
 
 
 def in_group(x, tag):
-    """Membership in the named subgroup of C(V, q)^x."""
+    """Membership in the named subgroup of C(V, q)^x.  The *_fx and *_1
+    tags test the norm first: they require N(x) to be a nonzero scalar, and
+    then conj(x)/N(x) is the inverse, so they never need a linear solve."""
     if tag not in GROUP_TAGS:
         raise ValueError(f"unknown group tag {tag!r}")
     space = x.space
     if tag == "twisted_center":
         xg = x.grade_involution()
-        for v in _vector_tests(space):
+        for v in probe_elements(space, "vector"):
             if x * v != v * xg:
                 return False
         return x.is_invertible()
-    if tag.startswith("tilde"):
-        base = _conjugation_stable(x, _paravector_tests(space), "paravector")
+    if tag.endswith(("_fx", "_1")):
+        inv = x.norm_inverse()
+        if inv is None or (tag.endswith("_1")
+                           and x.norm() != CliffordElement.one(space)):
+            return False
     else:
-        base = _conjugation_stable(x, _vector_tests(space), "vector")
-    if not base:
+        try:
+            inv = x.inverse()
+        except NotInvertible:
+            return False
+    kind = "paravector" if tag.startswith("tilde") else "vector"
+    ginv = inv.grade_involution()
+    if not all(lands(x * t * ginv, kind) for t in probe_elements(space, kind)):
         return False
-    if tag in ("gamma", "tilde_gamma"):
-        return True
-    if tag in ("gamma_fx", "tilde_gamma_fx"):
-        n = x.norm()
-        return n.is_scalar() and not n.scalar_part().is_zero()
-    if tag in ("gamma_1", "tilde_gamma_1"):
-        return x.norm() == CliffordElement.one(space)
     if tag == "gamma_plus":
         return x.is_even()
     if tag == "gamma_minus":
         return x.is_odd()
     if tag == "gamma_pm":
         return x.is_even() or x.is_odd()
-    raise AssertionError(tag)
+    return True
 
 
 def pi(x):
@@ -164,7 +162,7 @@ def pi(x):
     except NotInvertible as exc:
         raise NotInCliffordGroup(str(exc)) from exc
     cols = []
-    for v in _vector_tests(space):
+    for v in probe_elements(space, "vector"):
         img = x * v * ginv
         if not img.is_vector():
             raise NotInCliffordGroup(f"conjugation leaves V: {x!r}")
@@ -180,7 +178,7 @@ def pi_tilde(x):
     except NotInvertible as exc:
         raise NotInParavectorGroup(str(exc)) from exc
     cols = []
-    for t in _paravector_tests(space):
+    for t in probe_elements(space, "paravector"):
         img = x * t * ginv
         if not img.is_paravector():
             raise NotInParavectorGroup(f"conjugation leaves F+V: {x!r}")

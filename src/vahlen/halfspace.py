@@ -14,7 +14,7 @@ import itertools
 
 from .clifford import CliffordElement
 from .fields import PrimeField
-from .groups import matrix_to_CU, matrix_to_CUF
+from .groups import lands, matrix_to_CU, matrix_to_CUF
 from .matrices import (CMatrix2, NotVahlen, TooLarge, dilation, is_vahlen,
                        pseudo_det, translation, weyl)
 
@@ -229,7 +229,7 @@ class HalfSpace:
             return self.boundary_point([x * scale for x in part],
                                        num_norm * scale)
         star, den_star, num_norm_star, det = self._boundary_data(m, p)
-        if not self._lands(star):
+        if not lands(star, self.kind):
             raise InvariantViolation("starred numerator left the part space")
         part = self._element_to_part(star)
         if not den_star.is_zero():
@@ -238,9 +238,6 @@ class HalfSpace:
         inv = det.inverse()
         return self.boundary_point([x * inv for x in part],
                                    num_norm_star * inv)
-
-    def _lands(self, x):
-        return x.is_paravector() if self.kind == "paravector" else x.is_vector()
 
     # -- the K-model ---------------------------------------------------------------
 
@@ -347,7 +344,7 @@ class HalfSpace:
         g, d = m.c, m.d
         shape = (m.a == d.grade_involution()
                  and m.b == -(g.grade_involution() * self.c)
-                 and self._lands(g * d.transpose()))
+                 and lands(g * d.transpose(), self.kind))
         if shape:
             value = (d.norm() + g.norm() * self.c).to_scalar()
             shape = not value.is_zero()

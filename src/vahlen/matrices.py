@@ -2,20 +2,24 @@
 conditions, the pseudo-determinant, generators, a seeded sampler, and
 exhaustive finite-field verification of the condition equivalences.
 
-The default membership test is Condition 3 (cheapest); the other three are
-kept for cross-verification, and the diagnostic mode reports disagreements
-instead of silently picking a side.
+Each condition has one definition, which every caller runs: membership
+(Condition 3, the cheapest, naming the clause that fails), the diagnostic
+mode, which reports disagreements instead of silently picking a side, and
+the exhaustive check, which evaluates all four on every matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 from .clifford import (CliffordElement, element_from_json, element_to_json,
                        enumerate_elements)
 from .fields import InfiniteField, PrimeField, Rationals
-from .groups import CMatrix2, in_group, matrix_to_CU, matrix_to_CUF
+from .groups import (CMatrix2, in_group, lands, matrix_to_CU, matrix_to_CUF,
+                     probe_elements)
 from .quadratic import Vector
 
 KINDS = ("vector", "paravector")
@@ -34,84 +38,143 @@ def _check_kind(kind):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _tests(space, kind):
-    vecs = [CliffordElement.monomial(space, (i,)) for i in range(space.dim)]
-    if kind == "paravector":
-        return [CliffordElement.one(space)] + vecs
-    return vecs
+def _memoised(method):
+    """Cache a _Context method per context, keyed on its arguments."""
+    def cached(self, *args):
+        table = self._memo[method]
+        hit = table.get(args)
+        if hit is None:
+            hit = table[args] = method(self, *args)
+        return hit
+    return cached
 
 
-def _lands(x, kind):
-    return x.is_paravector() if kind == "paravector" else x.is_vector()
+class _Context:
+    """The entry-level work of the conditions over one algebra, each piece
+    computed once.  A context serves one call, or a whole exhaustive run,
+    where a handful of elements fill every matrix position."""
+
+    def __init__(self, space, kind):
+        _check_kind(kind)
+        self.kind = kind
+        self.probes = probe_elements(space, kind)
+        self._memo = defaultdict(dict)
+
+    @_memoised
+    def tr(self, x):
+        return x.transpose()
+
+    @_memoised
+    def cj(self, x):
+        return x.conj()
+
+    @_memoised
+    def mul(self, x, y):
+        return x * y
+
+    @_memoised
+    def norm_scalar(self, x):
+        return x.norm().is_scalar()
+
+    @_memoised
+    def in_T(self, x):
+        if not self.norm_scalar(x):
+            return False
+        xt = self.tr(x)
+        return all(lands(x * t * xt, self.kind) for t in self.probes)
+
+    @_memoised
+    def lands_mul(self, x, y):
+        return lands(self.mul(x, y), self.kind)
+
+    @_memoised
+    def symmetric(self, x, y):
+        return self.mul(x, self.tr(y)) == self.mul(y, self.tr(x))
+
+    @_memoised
+    def sandwiches(self, x, y):
+        """(x t conj(y), x conj(t) conj(y)) for each probe t."""
+        yb = self.cj(y)
+        return tuple((x * t * yb, x * t.conj() * yb) for t in self.probes)
+
+    def brackets(self, x, y, z, w):
+        """x t conj(y) + z conj(t) conj(w) for each probe t."""
+        return [p + q for (p, _), (_, q)
+                in zip(self.sandwiches(x, y), self.sandwiches(z, w))]
+
+    @_memoised
+    def scalar_brackets(self, x, y):
+        return all(u.is_scalar() for u in self.brackets(x, y, y, x))
+
+    @_memoised
+    def image(self, position, x):
+        """x alone at `position` (0..3 for a, b, c, d) of a matrix, mapped by
+        matrix_to_CU (vector) or matrix_to_CUF (paravector); the images of
+        the four entries sum to the image of the matrix."""
+        entries = [CliffordElement.zero(x.space)] * 4
+        entries[position] = x
+        m = CMatrix2(*entries)
+        return matrix_to_CU(m) if self.kind == "vector" else matrix_to_CUF(m)
 
 
 def in_T(x, kind):
     """x V x* in V (resp. x (F+V) x* in F+V) and N(x) scalar."""
-    _check_kind(kind)
-    if not x.norm().is_scalar():
-        return False
-    xt = x.transpose()
-    return all(_lands(x * t * xt, kind) for t in _tests(x.space, kind))
+    return _Context(x.space, kind).in_T(x)
 
 
-def _pseudo_det_element(m):
-    return m.a * m.d.transpose() - m.b * m.c.transpose()
+def _det_ok(m, ctx):
+    """The pseudo-determinant is a nonzero scalar; kept on the matrix, as
+    three conditions ask."""
+    hit = m._memo.get("det_ok")
+    if hit is None:
+        det = ctx.mul(m.a, ctx.tr(m.d)) - ctx.mul(m.b, ctx.tr(m.c))
+        hit = m._memo["det_ok"] = (det.is_scalar()
+                                   and not det.scalar_part().is_zero())
+    return hit
 
 
-def _det_ok(m):
-    det = _pseudo_det_element(m)
-    return det.is_scalar() and not det.scalar_part().is_zero()
-
-
-def _condition1(m, kind):
+def _condition1(m, ctx):
     a, b, c, d = m.entries()
-    for x in (a, b, c, d):
-        if not x.norm().is_scalar():
-            return False
-    if a * b.transpose() != b * a.transpose():
-        return False
-    if c * d.transpose() != d * c.transpose():
-        return False
-    if not _det_ok(m):
-        return False
-    if not _lands(a * c.conj(), kind) or not _lands(b * d.conj(), kind):
-        return False
-    ab, bb, cb, db = a.conj(), b.conj(), c.conj(), d.conj()
-    for t in _tests(m.space, kind):
-        tb = t.conj()
-        if not (a * t * bb + b * tb * ab).is_scalar():
-            return False
-        if not (c * t * db + d * tb * cb).is_scalar():
-            return False
-        if not _lands(a * t * db + b * tb * cb, kind):
-            return False
-    return True
+    return (all(map(ctx.norm_scalar, (a, b, c, d)))
+            and ctx.symmetric(a, b) and ctx.symmetric(c, d)
+            and _det_ok(m, ctx)
+            and ctx.lands_mul(a, ctx.cj(c)) and ctx.lands_mul(b, ctx.cj(d))
+            and ctx.scalar_brackets(a, b) and ctx.scalar_brackets(c, d)
+            and all(lands(u, ctx.kind) for u in ctx.brackets(a, d, b, c)))
 
 
-def _condition2(m, kind):
+def _condition2(m, ctx):
     a, b, c, d = m.entries()
-    if not all(in_T(x, kind) for x in (a, b, c, d)):
-        return False
-    if not _det_ok(m):
-        return False
-    return (_lands(a * b.transpose(), kind)
-            and _lands(d * c.transpose(), kind))
+    return (all(map(ctx.in_T, (a, b, c, d))) and _det_ok(m, ctx)
+            and ctx.lands_mul(a, ctx.tr(b)) and ctx.lands_mul(d, ctx.tr(c)))
 
 
-def _condition3(m, kind):
+def _condition3_failure(m, ctx):
+    """The first failed clause of Condition 3, or None."""
+    for name, x in zip(("alpha", "beta", "gamma", "delta"), m.entries()):
+        if not ctx.in_T(x):
+            return f"entry {name} not in T"
+    if not _det_ok(m, ctx):
+        return "pseudo-determinant not a nonzero scalar"
+    target = "V" if ctx.kind == "vector" else "F+V"
+    if not ctx.lands_mul(ctx.cj(m.a), m.b):
+        return f"conj(alpha)*beta not in {target}"
+    if not ctx.lands_mul(ctx.cj(m.d), m.c):
+        return f"conj(delta)*gamma not in {target}"
+    return None
+
+
+def _condition3(m, ctx):
+    return _condition3_failure(m, ctx) is None
+
+
+def _condition4(m, ctx):
     a, b, c, d = m.entries()
-    if not all(in_T(x, kind) for x in (a, b, c, d)):
+    psi = (ctx.image(0, a) + ctx.image(1, b) + ctx.image(2, c)
+           + ctx.image(3, d))
+    if ctx.kind == "paravector" and not psi.is_even():
         return False
-    if not _det_ok(m):
-        return False
-    return (_lands(a.conj() * b, kind) and _lands(d.conj() * c, kind))
-
-
-def _condition4(m, kind):
-    if kind == "vector":
-        return in_group(matrix_to_CU(m), "gamma_fx")
-    psi = matrix_to_CUF(m)
-    return psi.is_even() and in_group(psi, "gamma_fx")
+    return in_group(psi, "gamma_fx")
 
 
 _CONDITIONS = {1: _condition1, 2: _condition2, 3: _condition3, 4: _condition4}
@@ -119,40 +182,25 @@ _CONDITIONS = {1: _condition1, 2: _condition2, 3: _condition3, 4: _condition4}
 
 def check_condition(m, kind, which):
     """Evaluate one of the four membership conditions verbatim."""
-    _check_kind(kind)
-    return _CONDITIONS[which](m, kind)
-
-
-def is_vahlen(m, kind):
-    _check_kind(kind)
-    hit = m._memo.get(("vahlen", kind))
-    if hit is None:
-        hit = _condition3(m, kind)
-        m._memo[("vahlen", kind)] = hit
-    return hit
+    return _CONDITIONS[which](m, _Context(m.space, kind))
 
 
 def condition3_failure(m, kind):
     """Name of the first failed clause of Condition 3, or None."""
-    _check_kind(kind)
-    names = "alpha", "beta", "gamma", "delta"
-    for name, x in zip(names, m.entries()):
-        if not in_T(x, kind):
-            return f"entry {name} not in T"
-    if not _det_ok(m):
-        return "pseudo-determinant not a nonzero scalar"
-    target = "V" if kind == "vector" else "F+V"
-    if not _lands(m.a.conj() * m.b, kind):
-        return f"conj(alpha)*beta not in {target}"
-    if not _lands(m.d.conj() * m.c, kind):
-        return f"conj(delta)*gamma not in {target}"
-    return None
+    key = ("vahlen", kind)
+    if key not in m._memo:
+        m._memo[key] = _condition3_failure(m, _Context(m.space, kind))
+    return m._memo[key]
+
+
+def is_vahlen(m, kind):
+    return condition3_failure(m, kind) is None
 
 
 def diagnose(m, kind):
     """All four condition verdicts plus their agreement flag."""
-    _check_kind(kind)
-    verdicts = {which: fn(m, kind) for which, fn in _CONDITIONS.items()}
+    ctx = _Context(m.space, kind)
+    verdicts = {which: fn(m, ctx) for which, fn in _CONDITIONS.items()}
     verdicts["agree"] = len(set(verdicts.values())) == 1
     return verdicts
 
@@ -160,8 +208,8 @@ def diagnose(m, kind):
 def pseudo_det(m, kind):
     """The scalar alpha delta* - beta gamma*; multiplicative on the group."""
     if not is_vahlen(m, kind):
-        raise NotVahlen(condition3_failure(m, kind) or "not Vahlen")
-    return _pseudo_det_element(m).to_scalar()
+        raise NotVahlen(condition3_failure(m, kind))
+    return (m.a * m.d.transpose() - m.b * m.c.transpose()).to_scalar()
 
 
 def matrix_inverse(m, kind):
@@ -317,7 +365,7 @@ def verify_equivalence_exhaustive(space, kind, max_matrices=10**7):
     """Enumerate every 2x2 matrix over C(space); report the four condition
     membership counts, whether the sets coincide, and whether T (resp. the
     paravector T) is invariant under transposition."""
-    _check_kind(kind)
+    ctx = _Context(space, kind)
     if not isinstance(space.field, PrimeField):
         raise InfiniteField("exhaustive verification needs a finite field")
     p = space.field.modulus
@@ -327,101 +375,17 @@ def verify_equivalence_exhaustive(space, kind, max_matrices=10**7):
         raise TooLarge(f"{total} matrices exceed the guard {max_matrices}")
 
     elems = enumerate_elements(space)
-    t_flags = [in_T(x, kind) for x in elems]
-    t_set = {x for x, f in zip(elems, t_flags) if f}
-    t_star_invariant = all(x.transpose() in t_set for x in t_set)
+    t_set = {x for x in elems if ctx.in_T(x)}
+    t_star_invariant = all(ctx.tr(x) in t_set for x in t_set)
 
-    # pairwise product tables make the per-matrix work pure lookups
-    idx = range(len(elems))
-    tr = [x.transpose() for x in elems]
-    cj = [x.conj() for x in elems]
-    norm_scalar = [x.norm().is_scalar() for x in elems]
-    p_star = [[elems[i] * tr[j] for j in idx] for i in idx]
-    p_bar = [[elems[i] * cj[j] for j in idx] for i in idx]
-    p_conj_left = [[cj[i] * elems[j] for j in idx] for i in idx]
-    tests = _tests(space, kind)
-    u1 = [[[elems[i] * t * cj[j] for j in idx] for i in idx] for t in tests]
-    u2 = [[[elems[i] * t.conj() * cj[j] for j in idx] for i in idx]
-          for t in tests]
-    lands_star = [[_lands(p_star[i][j], kind) for j in idx] for i in idx]
-    lands_bar = [[_lands(p_bar[i][j], kind) for j in idx] for i in idx]
-    lands_cl = [[_lands(p_conj_left[i][j], kind) for j in idx] for i in idx]
-
-    def det_ok(a, b, c, d):
-        det = p_star[a][d] - p_star[b][c]
-        return det.is_scalar() and not det.scalar_part().is_zero()
-
-    def cond1(a, b, c, d):
-        if not (norm_scalar[a] and norm_scalar[b] and norm_scalar[c]
-                and norm_scalar[d]):
-            return False
-        if p_star[a][b] != p_star[b][a] or p_star[c][d] != p_star[d][c]:
-            return False
-        if not det_ok(a, b, c, d):
-            return False
-        if not (lands_bar[a][c] and lands_bar[b][d]):
-            return False
-        for k in range(len(tests)):
-            if not (u1[k][a][b] + u2[k][b][a]).is_scalar():
-                return False
-            if not (u1[k][c][d] + u2[k][d][c]).is_scalar():
-                return False
-            if not _lands(u1[k][a][d] + u2[k][b][c], kind):
-                return False
-        return True
-
-    def cond2(a, b, c, d):
-        return (t_flags[a] and t_flags[b] and t_flags[c] and t_flags[d]
-                and det_ok(a, b, c, d)
-                and lands_star[a][b] and lands_star[d][c])
-
-    def cond3(a, b, c, d):
-        return (t_flags[a] and t_flags[b] and t_flags[c] and t_flags[d]
-                and det_ok(a, b, c, d)
-                and lands_cl[a][b] and lands_cl[d][c])
-
-    zero = CliffordElement.zero(space)
-    if kind == "vector":
-        big = space.extend_hyperbolic()
-        to_big = matrix_to_CU
-        want_even = False
-    else:
-        big = space.extend_hyperbolic_rho()
-        to_big = matrix_to_CUF
-        want_even = True
-    blocks = ([to_big(CMatrix2(x, zero, zero, zero)) for x in elems],
-              [to_big(CMatrix2(zero, x, zero, zero)) for x in elems],
-              [to_big(CMatrix2(zero, zero, x, zero)) for x in elems],
-              [to_big(CMatrix2(zero, zero, zero, x)) for x in elems])
-    big_tests = [CliffordElement.monomial(big, (i,)) for i in range(big.dim)]
-
-    def cond4(a, b, c, d):
-        psi = blocks[0][a] + blocks[1][b] + blocks[2][c] + blocks[3][d]
-        if want_even and not psi.is_even():
-            return False
-        n = psi.norm()
-        if not n.is_scalar() or n.scalar_part().is_zero():
-            return False
-        ginv = (psi.conj() * n.scalar_part().inverse()).grade_involution()
-        return all((psi * t * ginv).is_vector() for t in big_tests)
-
-    counts = {1: 0, 2: 0, 3: 0, 4: 0}
+    counts = dict.fromkeys(_CONDITIONS, 0)
     sets_equal = True
-    rng4 = range(len(elems))
-    for a in rng4:
-        for b in rng4:
-            for c in rng4:
-                for d in rng4:
-                    r1 = cond1(a, b, c, d)
-                    r2 = cond2(a, b, c, d)
-                    r3 = cond3(a, b, c, d)
-                    r4 = cond4(a, b, c, d)
-                    counts[1] += r1
-                    counts[2] += r2
-                    counts[3] += r3
-                    counts[4] += r4
-                    if not r1 == r2 == r3 == r4:
-                        sets_equal = False
+    for entries in itertools.product(elems, repeat=4):
+        m = CMatrix2(*entries)
+        verdicts = [fn(m, ctx) for fn in _CONDITIONS.values()]
+        for which, verdict in zip(_CONDITIONS, verdicts):
+            counts[which] += verdict
+        sets_equal = sets_equal and len(set(verdicts)) == 1
     return {
         "kind": kind,
         "matrix_count": total,

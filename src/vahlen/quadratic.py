@@ -164,15 +164,6 @@ class QuadraticSpace:
                 self.field, self.qdiag + (zero, zero, mone), pairs, labels)
         return self._ext_cache["hyprho"]
 
-    def extend(self, which, c=None):
-        if which == "sigma":
-            return self.extend_sigma(c)
-        if which == "hyperbolic":
-            return self.extend_hyperbolic()
-        if which == "hyperbolic_and_rho":
-            return self.extend_hyperbolic_rho()
-        raise ValueError(f"unknown extension {which!r}")
-
     def is_extension_of(self, sub):
         """Does self contain sub as its leading coordinates, orthogonally?"""
         n = sub.dim
@@ -275,14 +266,6 @@ class Vector:
         return f"Vector({list(self.coords)})"
 
 
-def q_value(v):
-    return v.q()
-
-
-def bilinear(u, v):
-    return u.pair(v)
-
-
 def reflection_matrix(v):
     """The reflection r_v: u -> u - ((u, v)/q(v)) v, for q(v) != 0."""
     space = v.space
@@ -338,15 +321,36 @@ def space_to_json(space):
     }
 
 
+# generator names the extensions assign; a space read from JSON must not
+# claim them for its own basis vectors
+RESERVED_LABELS = frozenset({"sigma", "rho", "e", "f"})
+
+
 def space_from_json(data):
-    field = parse_field(data["field"])
-    qdiag = [field.parse(str(v)) for v in data.get("qdiag", [])]
+    if not isinstance(data, dict):
+        raise ValueError("space must be a JSON object")
+    qdiag = data.get("qdiag", [])
+    raw_pairs = data.get("pairs", [])
+    labels = data.get("labels") or {}
+    if not isinstance(qdiag, list) or not isinstance(raw_pairs, list):
+        raise ValueError("qdiag and pairs must be lists")
+    if not isinstance(labels, dict):
+        raise ValueError("labels must be an object")
+    reserved = sorted(RESERVED_LABELS.intersection(labels))
+    if reserved:
+        raise ValueError(f"labels {reserved} are reserved for the "
+                         "generators of the extensions")
+    field = parse_field(str(data["field"]))
+    qdiag = [field.parse(str(v)) for v in qdiag]
     if "dim" in data and data["dim"] != len(qdiag):
         raise ValueError("dim does not match qdiag length")
     pairs = {}
-    for i, j, v in data.get("pairs", []):
+    for entry in raw_pairs:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise ValueError(f"pair {entry!r} is not [i, j, value]")
+        i, j, v = entry
         pairs[(int(i), int(j))] = field.parse(str(v))
-    return QuadraticSpace(field, qdiag, pairs, data.get("labels"))
+    return QuadraticSpace(field, qdiag, pairs, labels)
 
 
 def vector_to_json(v):

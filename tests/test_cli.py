@@ -5,6 +5,7 @@ import json
 
 from vahlen import clifford
 from vahlen.cli import main
+from vahlen.fields import PRIME_BOUND
 from vahlen.halfspace import HalfSpace
 
 SPACE_F3_X2 = '{"field": "F3", "dim": 1, "qdiag": ["1"]}'
@@ -72,11 +73,41 @@ def test_verify_malformed_space_is_config_error(capsys):
     assert "malformed" in err
 
 
+def _bad_space(capsys, space):
+    code, out, err = run(capsys, ["verify", "--samples", "1",
+                                  "--space", space])
+    assert code == 2 and not out
+    assert err.startswith("error: bad space:")
+    return err
+
+
+def test_space_top_level_not_object(capsys):
+    assert "JSON object" in _bad_space(capsys, "[1, 2]")
+
+
+def test_space_qdiag_not_list(capsys):
+    assert "lists" in _bad_space(capsys, '{"field": "Q", "qdiag": "12"}')
+
+
+def test_space_pairs_not_list(capsys):
+    assert "lists" in _bad_space(
+        capsys, '{"field": "Q", "qdiag": ["1", "1"], "pairs": "0,1,1"}')
+
+
+def test_space_reserved_labels(capsys):
+    for name in ("sigma", "rho", "e", "f"):
+        space = json.dumps({"field": "Q", "qdiag": ["1"],
+                            "labels": {name: 0}})
+        assert "reserved" in _bad_space(capsys, space)
+
+
 def test_verify_bad_field_and_flags(capsys):
     assert run(capsys, ["verify", "--field", "F9"])[0] == 2
     assert run(capsys, ["verify", "--field", "F2"])[0] == 2
     assert run(capsys, ["verify", "--samples", "0"])[0] == 2
     assert run(capsys, ["verify", "--c", "x"])[0] == 2
+    # past the bound of the exact primality test
+    assert run(capsys, ["verify", "--field", f"F{PRIME_BOUND + 2}"])[0] == 2
 
 
 def test_enumerate(capsys):

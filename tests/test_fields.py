@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vahlen.fields import (FieldMismatch, InfiniteField, PrimeField, Q,
-                           parse_field)
+from vahlen.fields import (PRIME_BOUND, FieldMismatch, InfiniteField,
+                           PrimeField, Q, _is_prime, parse_field)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -55,6 +55,19 @@ def test_characteristic_two_and_composite_rejected():
         PrimeField(9)
     with pytest.raises(ValueError):
         PrimeField(1)
+
+
+def test_primality_is_exact_and_bounded():
+    assert PrimeField(2**61 - 1).modulus == 2**61 - 1
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(2**61 + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        PrimeField(PRIME_BOUND + 2)
+    # strong pseudoprime to every prime base up to 37
+    assert not _is_prime(318665857834031151167461)
+    # trial division as the reference
+    for n in range(3000):
+        assert _is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
 
 
 def test_parse_and_format():

@@ -6,14 +6,14 @@ import random
 import pytest
 
 from vahlen import linalg
-from vahlen.clifford import (CliffordElement, all_monomials,
+from vahlen.clifford import (CliffordElement, NotInvertible, all_monomials,
                              enumerate_elements, paravector_pairing,
                              paravector_q)
 from vahlen.fields import PrimeField, Q
 from vahlen.groups import (CMatrix2, CU_to_matrix, CUF_to_matrix,
-                           NotInCliffordGroup, in_group, matrix_involution,
-                           matrix_to_CU, matrix_to_CUF, pi, pi_tilde,
-                           r1_matrix)
+                           NotInCliffordGroup, in_group, lands,
+                           matrix_involution, matrix_to_CU, matrix_to_CUF,
+                           pi, pi_tilde, probe_elements, r1_matrix)
 from vahlen.quadratic import (QuadraticSpace, is_orthogonal_fixing_radical,
                               reflection_matrix)
 
@@ -115,6 +115,51 @@ def test_graded_tags(degen_space):
     assert in_group(xi, "tilde_gamma_1")  # N = -q_F = 1
     with pytest.raises(ValueError):
         in_group(e0, "gamma_zero")
+
+
+NORM_TAGS = ("gamma_fx", "gamma_1", "tilde_gamma_fx", "tilde_gamma_1")
+
+
+def _membership_via_inverse(x, tag):
+    """The reference: conjugation by the general inverse, then the norm."""
+    try:
+        ginv = x.inverse().grade_involution()
+    except NotInvertible:
+        return False
+    kind = "paravector" if tag.startswith("tilde") else "vector"
+    if not all(lands(x * t * ginv, kind)
+               for t in probe_elements(x.space, kind)):
+        return False
+    n = x.norm()
+    if tag.endswith("_1"):
+        return n == CliffordElement.one(x.space)
+    return n.is_scalar() and not n.scalar_part().is_zero()
+
+
+def test_norm_tags_never_solve(degen_space, monkeypatch):
+    """The *_fx and *_1 tags decide membership from the norm and
+    conj(x)/N(x), with the verdicts of the general-inverse reference."""
+    rng = random.Random(12)
+    V = degen_space
+    one = CliffordElement.one(V)
+    samples = [rand_element(V, rng) for _ in range(20)]
+    samples += [rand_gamma_fx(V, rng) for _ in range(10)]
+    samples += [CliffordElement.from_vector(V.vector([0, 0, 1])),  # N = 0
+                one + CliffordElement.monomial(V, (0,)),  # N = 1 - q = 0
+                CliffordElement.zero(V)]
+    assert any(not x.norm().is_scalar() for x in samples)
+    assert any(x.norm().is_scalar() and x.norm().scalar_part().is_zero()
+               for x in samples)
+    expected = {(i, tag): _membership_via_inverse(x, tag)
+                for i, x in enumerate(samples) for tag in NORM_TAGS}
+    assert any(expected.values()) and not all(expected.values())
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("in_group started a linear solve")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    for (i, tag), want in expected.items():
+        assert in_group(samples[i], tag) == want, (samples[i], tag)
 
 
 def test_pi_tilde_of_paravector_is_reflection_composite(degen_space):

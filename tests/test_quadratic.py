@@ -119,7 +119,7 @@ def test_orthogonal_predicate_rejects_radical_movers():
 
 
 def test_space_json_roundtrip():
-    V = QuadraticSpace(F3, [1, 0], pairs={(0, 1): 2}, labels={"sigma": 1})
+    V = QuadraticSpace(F3, [1, 0], pairs={(0, 1): 2}, labels={"u": 1})
     data = space_to_json(V)
     W = space_from_json(data)
     assert W == V and W.labels == V.labels
@@ -127,3 +127,5 @@ def test_space_json_roundtrip():
     assert vector_from_json(V, vector_to_json(v)) == v
     with pytest.raises(ValueError):
         space_from_json({"field": "F3", "dim": 2, "qdiag": ["1"]})
+    with pytest.raises(ValueError, match="reserved"):
+        space_from_json(dict(data, labels={"sigma": 1}))

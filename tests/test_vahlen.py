@@ -142,16 +142,26 @@ def test_pseudo_det_errors(space):
         pseudo_det(bad, "vector")
 
 
+# (condition count, T_count) of the exhaustive check per qdiag and kind;
+# all four conditions must reach the same count
+EXHAUSTIVE_GF3 = {
+    (1,): {"vector": (96, 5), "paravector": (1152, 9)},
+    (0,): {"vector": (216, 9), "paravector": (1296, 9)},
+    (2,): {"vector": (96, 5), "paravector": (1440, 9)},
+}
+
+
 def test_exhaustive_gf3_dim1():
-    for qdiag in ([1], [0]):
-        V = QuadraticSpace(F3, qdiag)
-        for kind in ("vector", "paravector"):
+    for qdiag, per_kind in EXHAUSTIVE_GF3.items():
+        V = QuadraticSpace(F3, list(qdiag))
+        for kind, (count, t_count) in per_kind.items():
             report = verify_equivalence_exhaustive(V, kind)
             assert report["matrix_count"] == 6561
-            assert report["T_star_invariant"]
-            assert report["condition_sets_equal"]
-            counts = set(report["counts"].values())
-            assert len(counts) == 1 and counts.pop() > 0
+            assert report["T_star_invariant"] is True
+            assert report["condition_sets_equal"] is True
+            assert report["T_count"] == t_count
+            assert report["counts"] == {f"condition{k}": count
+                                        for k in (1, 2, 3, 4)}
 
 
 def test_exhaustive_dim0_is_monomial_matrices():
