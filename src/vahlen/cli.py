@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass
 
+from .clifford import SolveTooLarge
 from .fields import InfiniteField, parse_field
 from .halfspace import HalfSpace, InvariantViolation, point_from_json, \
     point_to_json
@@ -224,7 +225,7 @@ def main(argv=None):
         if args.command == "orbit":
             return cmd_orbit(config, args.group)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, SolveTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotVahlen, InvariantViolation) as exc:

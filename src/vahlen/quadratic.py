@@ -24,7 +24,9 @@ class NotASuperspace(ValueError):
 class QuadraticSpace:
     """A finite-dimensional quadratic space with exact, possibly degenerate q."""
 
-    # coefficient spaces are dense 2^n maps; extensions add up to 3 generators
+    # elements are sparse maps over 2^n monomials, and the extensions add up
+    # to 3 generators; the inverse's 2^n x 2^n linear solve has its own,
+    # lower bound, clifford.MAX_SOLVE_DIM
     MAX_DIM = 16
 
     def __init__(self, field, qdiag, pairs=None, labels=None):
@@ -41,9 +43,9 @@ class QuadraticSpace:
             if not v.is_zero():
                 self.pairs[(i, j)] = v
         self.labels = dict(labels or {})
-        # lazy caches attached by clifford.py and the extension constructors
+        # lazy caches filled by clifford.py and the extension constructors
         self._mono_cache = {}
-        self._transpose_cache = {}
+        self._kernel = None
         self._ext_cache = {}
         self._gram = None
         self._radical = None

@@ -7,13 +7,12 @@ Suites are ordered cheap-to-expensive so failures localize early.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from .clifford import (CliffordElement, all_monomials, element_to_json, iota,
-                       iota_inv, paravector_pairing, paravector_q, rho_map,
-                       upsilon_map)
+from .clifford import (CliffordElement, SolveTooLarge, all_monomials,
+                       element_to_json, iota, iota_inv, paravector_pairing,
+                       paravector_q, rho_map, upsilon_map)
 from .fields import PrimeField, Rationals
 from .groups import (CMatrix2, CU_to_matrix, CUF_to_matrix, matrix_involution,
                      matrix_to_CU, matrix_to_CUF)
@@ -405,18 +404,31 @@ def vahlen_suite(config):
 # -- half-space suites -----------------------------------------------------------------
 
 
+# candidates boundary_parts reads before it gives up; a full scan of any
+# current configuration, Q paravectors on a dim-4 space included, fits
+BOUNDARY_BUDGET = 1 << 15
+
+
 def boundary_parts(hs, limit=6):
-    """Part tuples with q-value c, found by a small exact search."""
+    """Part tuples with q-value c, found by a small exact search.  Candidate
+    k is the base-b numeral of k over an alphabet of b scalars (the
+    residues over GF(p), a small grid over Q), last coordinate fastest; the
+    scan stops at `limit` hits or after BOUNDARY_BUDGET candidates, so it
+    never lists the field or the part tuples."""
     field = hs.field
     if isinstance(field, PrimeField):
-        pool = [tuple(t) for t in itertools.product(
-            list(field.elements()), repeat=hs.part_len)]
+        base, digit = field.modulus, field.element
     else:
         grid = [field.element(v) for v in (0, 1, -1, 2, -2, Fraction(1, 2))]
-        pool = [tuple(t) for t in itertools.product(grid,
-                                                    repeat=hs.part_len)]
+        base, digit = len(grid), grid.__getitem__
+    n = hs.part_len
     found = []
-    for part in pool:
+    for index in range(min(base ** n, BOUNDARY_BUDGET)):
+        digits = []
+        for _ in range(n):
+            index, r = divmod(index, base)
+            digits.append(digit(r))
+        part = tuple(reversed(digits))
         if hs.part_q(part) == hs.c:
             found.append(part)
             if len(found) >= limit:
@@ -571,6 +583,8 @@ def run_verify(config):
                 counterexample = check(config)
             except NotVahlen as exc:
                 counterexample = {"error": str(exc)}
+            except SolveTooLarge:
+                raise  # a refused size, not a property failure
             except Exception as exc:  # a crash is a property failure too
                 counterexample = {"error": repr(exc)}
             name = f"{suite_name}/{check_name}"

@@ -1,12 +1,22 @@
 """The command-line harness: exit codes, JSON reports, determinism, and the
 self-tests that prove failures actually surface."""
 
+import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
+import vahlen
 from vahlen import clifford
 from vahlen.cli import main
-from vahlen.fields import PRIME_BOUND
+from vahlen.fields import PRIME_BOUND, PrimeField, Q
 from vahlen.halfspace import HalfSpace
+from vahlen.quadratic import QuadraticSpace
+from vahlen.suites import boundary_parts
 
 SPACE_F3_X2 = '{"field": "F3", "dim": 1, "qdiag": ["1"]}'
 SPACE_F3_DEGEN = '{"field": "F3", "dim": 1, "qdiag": ["0"]}'
@@ -219,3 +229,67 @@ def test_orbit_byte_identical_reports(capsys):
     out1 = run(capsys, args)
     out2 = run(capsys, args)
     assert out1 == out2
+
+
+def test_verify_solve_past_bound_exits_2(capsys, monkeypatch):
+    """A refused linear solve inside a suite is a size error (exit 2), not
+    a property failure and not a skipped sample."""
+    monkeypatch.setattr(clifford, "MAX_SOLVE_DIM", 2)
+    code, out, err = run(capsys, [
+        "verify", "--samples", "4", "--seed", "1", "--json",
+        "--space", '{"field": "Q", "qdiag": ["1", "-1", "2"]}'])
+    assert code == 2 and not out
+    assert err.startswith("error:") and "linear solve" in err
+
+
+def _old_boundary_parts(hs, limit=6):
+    """The listing search boundary_parts replaced, as its reference."""
+    field = hs.field
+    if isinstance(field, PrimeField):
+        alphabet = list(field.elements())
+    else:
+        alphabet = [field.element(v)
+                    for v in (0, 1, -1, 2, -2, Fraction(1, 2))]
+    found = []
+    for part in itertools.product(alphabet, repeat=hs.part_len):
+        if hs.part_q(part) == hs.c:
+            found.append(part)
+            if len(found) >= limit:
+                break
+    return found
+
+
+def test_boundary_parts_keep_their_order():
+    """Streaming the candidates finds the same parts in the same order."""
+    cases = [(Q, [1, -1], {}), (Q, [1, -1, 2, 0], {(0, 1): 1}),
+             (PrimeField(3), [1, 0, 1], {}),
+             (PrimeField(5), [1, 0], {(0, 1): 1}), (PrimeField(7), [2], {})]
+    for field, qdiag, pairs in cases:
+        space = QuadraticSpace(field, qdiag, pairs)
+        for c in (1, 0, -1, 2):
+            for kind in ("vector", "paravector"):
+                hs = HalfSpace(space, c, kind)
+                for limit in (6, 10 ** 6):
+                    assert boundary_parts(hs, limit) == \
+                        _old_boundary_parts(hs, limit)
+
+
+def test_verify_huge_prime_field_stays_bounded():
+    """verify over GF(2^61 - 1) neither lists the field nor its part
+    tuples.  It runs in a child process whose address space is capped, so
+    a listing search fails this test instead of exhausting memory."""
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(vahlen.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from vahlen.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))",
+         "verify", "--field", "F2305843009213693951", "--samples", "1",
+         "--gen-length", "1"],
+        capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "all properties passed" in proc.stdout

@@ -1,21 +1,57 @@
 """The Clifford algebra engine: products, involutions, norms, inversion,
 embeddings, and the rho/upsilon/iota maps."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vahlen import clifford, linalg
 from vahlen.clifford import (CliffordElement, NotInvertible, NotScalar,
-                             all_monomials, element_from_json,
+                             SolveTooLarge, all_monomials, element_from_json,
                              element_to_json, enumerate_elements, iota,
                              iota_inv, paravector_pairing, paravector_q,
                              rho_map, upsilon_element, upsilon_map)
 from vahlen.fields import PrimeField, Q
+from vahlen.groups import in_group
 from vahlen.quadratic import NotASuperspace, QuadraticSpace, SpaceMismatch
 
 F3 = PrimeField(3)
+
+
+def normalize_word(space, word):
+    """Reference for the product kernel: rewrite a generator word into
+    canonical monomials by e_i e_i -> q(e_i) and, for i < j,
+    e_j e_i -> (e_i, e_j) - e_i e_j, in Scalar arithmetic."""
+    field = space.field
+    out = {}
+    stack = [(word, field.one)]
+    while stack:
+        w, coef = stack.pop()
+        k = -1
+        for t in range(len(w) - 1):
+            if w[t] >= w[t + 1]:
+                k = t
+                break
+        if k < 0:
+            prev = out.get(w)
+            out[w] = coef if prev is None else prev + coef
+            continue
+        a, b = w[k], w[k + 1]
+        pre, post = w[:k], w[k + 2:]
+        if a == b:
+            q = space.qdiag[a]
+            if not q.is_zero():
+                stack.append((pre + post, coef * q))
+        else:
+            stack.append((pre + (b, a) + post, -coef))
+            pair = space.pairs.get((b, a))
+            if pair is not None:
+                stack.append((pre + post, coef * pair))
+    return {w: c for w, c in out.items() if not c.is_zero()}
 
 
 def rand_element(space, rng, density=0.5):
@@ -322,3 +358,158 @@ def test_element_json(mixed_space):
         element_from_json(mixed_space, [{"indices": [1, 0], "coeff": "1"}])
     with pytest.raises(ValueError):
         element_from_json(mixed_space, [{"indices": [9], "coeff": "1"}])
+
+
+# -- the integer product kernel against the rewriting reference -----------------
+
+
+def _assert_monomials_match_oracle(space):
+    monos = all_monomials(space)
+    elems = {s: CliffordElement.monomial(space, s) for s in monos}
+    for s in monos:
+        assert elems[s].transpose().coeffs == \
+            normalize_word(space, s[::-1]), s
+        for t in monos:
+            assert (elems[s] * elems[t]).coeffs == \
+                normalize_word(space, s + t), (s, t)
+    return len(monos) ** 2
+
+
+def test_kernel_matches_oracle_every_gf3_form():
+    """Every monomial product and transpose over every GF(3) form of
+    dimension at most 3: all diagonals times all pair values."""
+    checked = 0
+    for dim in range(4):
+        slots = list(itertools.combinations(range(dim), 2))
+        for qdiag in itertools.product(range(3), repeat=dim):
+            for values in itertools.product(range(3), repeat=len(slots)):
+                space = QuadraticSpace(F3, list(qdiag),
+                                       dict(zip(slots, values)))
+                checked += _assert_monomials_match_oracle(space)
+    assert checked == 47101
+
+
+def test_kernel_matches_oracle_over_q():
+    """Q forms whose q and pair values have denominators 2, 3 and 5, up to
+    dim 7: a degenerate dim-4 space and its V_U, V_UF and sigma extension."""
+    V = QuadraticSpace(
+        Q, [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), 0],
+        {(0, 1): Fraction(1, 2), (1, 2): Fraction(2, 5),
+         (2, 3): Fraction(-1, 3), (0, 3): 3})
+    for space in (V, V.extend_sigma(Fraction(3, 5)), V.extend_hyperbolic(),
+                  V.extend_hyperbolic_rho()):
+        _assert_monomials_match_oracle(space)
+
+
+def _reference_product(x, y):
+    space = x.space
+    acc = {}
+    for s, a in x.coeffs.items():
+        for t, b in y.coeffs.items():
+            for u, c in normalize_word(space, s + t).items():
+                acc[u] = acc.get(u, space.field.zero) + a * b * c
+    return CliffordElement(space, acc)
+
+
+def _reference_transpose(x):
+    space = x.space
+    acc = {}
+    for s, a in x.coeffs.items():
+        for u, c in normalize_word(space, s[::-1]).items():
+            acc[u] = acc.get(u, space.field.zero) + a * c
+    return CliffordElement(space, acc)
+
+
+@pytest.mark.parametrize("field", [Q, F3, PrimeField(5), PrimeField(7)],
+                         ids=repr)
+def test_kernel_matches_scalar_reference(field):
+    """Seeded random elements, fractional coefficients over Q, against the
+    product and transpose computed term by term in Scalar arithmetic."""
+    third, fifth = ((Fraction(2, 3), Fraction(-1, 5)) if field == Q
+                    else (-2, 4))
+    space = QuadraticSpace(field, [Fraction(1, 2), -1, 0, 3],
+                           {(0, 1): third, (1, 3): 1, (2, 3): fifth})
+    p = field.modulus
+    rng = random.Random(59)
+    values = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
+    for _ in range(40):
+        x, y = ({s: field.element(rng.choice(values))
+                 for s in all_monomials(space) if rng.random() < 0.4}
+                for _ in range(2))
+        x, y = CliffordElement(space, x), CliffordElement(space, y)
+        for got, want in ((x * y, _reference_product(x, y)),
+                          (x.transpose(), _reference_transpose(x))):
+            assert got == want and hash(got) == hash(want)
+            assert got.coeffs == want.coeffs
+            for c in got.coeffs.values():
+                assert not c.is_zero()
+                if p is not None:
+                    assert isinstance(c.value, int) and 0 < c.value < p
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=repr)
+def test_kernel_drops_cancelled_terms(field):
+    """A coefficient that cancels to zero is absent, not a zero Scalar."""
+    V = QuadraticSpace(field, [2, 2])
+    e0, e1 = (CliffordElement.monomial(V, (i,)) for i in range(2))
+    z = (e0 + e1) * (e0 - e1)  # q(e0) - q(e1) - 2 e0 e1
+    assert z.coeffs == {(0, 1): field.element(-2)}
+    assert (e0 - e0).coeffs == {}
+    assert (e0 * e1 + e1 * e0).is_zero()
+    W = QuadraticSpace(field, [1, -1, 0], {(0, 1): 1})
+    rng = random.Random(61)
+    hits = 0
+    for _ in range(30):
+        x = rand_element(W, rng)
+        try:
+            xi = x.inverse()
+        except NotInvertible:
+            continue
+        hits += 1
+        assert (x * xi).coeffs == {(): field.one}
+    assert hits > 5
+
+
+def test_monomial_cache_is_lazy_and_shared():
+    V = QuadraticSpace(Q, [1, -1, 2], {(0, 1): Fraction(1, 2)})
+    assert V._mono_cache == {} and V._kernel is None
+    e01 = CliffordElement.monomial(V, (0, 1))
+    e01.transpose()
+    assert set(V._mono_cache) == {((0, 1), None)}
+    e01 * e01
+    assert set(V._mono_cache) == {((0, 1), None), ((0, 1), (0, 1))}
+
+
+# -- the size guard of the solving inverse --------------------------------------
+
+
+def _solve_path_element(dim):
+    """e_{n-1} + e_0 e_1 over GF(3): invertible, but its norm is no scalar."""
+    V = QuadraticSpace(F3, [1] * dim)
+    x = (CliffordElement.monomial(V, (dim - 1,))
+         + CliffordElement.monomial(V, (0, 1)))
+    assert not x.norm().is_scalar()
+    return x
+
+
+class _SolveReached(Exception):
+    pass
+
+
+def test_solve_refused_past_bound(monkeypatch):
+    """Past MAX_SOLVE_DIM the inverse refuses before building its system;
+    the refusal is no NotInvertible, so group tests cannot read it as a
+    silent False."""
+    def solve(*_):
+        raise _SolveReached
+    monkeypatch.setattr(linalg, "solve", solve)
+    x = _solve_path_element(clifford.MAX_SOLVE_DIM + 1)
+    assert not issubclass(SolveTooLarge, NotInvertible)
+    with pytest.raises(SolveTooLarge):
+        x.inverse()
+    with pytest.raises(SolveTooLarge):
+        x.is_invertible()
+    with pytest.raises(SolveTooLarge):
+        in_group(x, "gamma")
+    with pytest.raises(_SolveReached):
+        _solve_path_element(clifford.MAX_SOLVE_DIM).inverse()
