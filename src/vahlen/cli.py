@@ -2,13 +2,15 @@
 enumeration, orbit census, and single-shot Moebius evaluation.
 
 Exit codes form a stable contract: 0 pass, 1 property failure, 2 usage or
-configuration error.  Identical (config, seed) produce byte-identical JSON.
+configuration error, or a reader that closed stdout early.  Identical
+(config, seed) produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -209,9 +211,7 @@ def make_parser():
     return parser
 
 
-def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+def _run(args):
     try:
         config = build_config(args)
         if args.command == "verify":
@@ -231,6 +231,18 @@ def main(argv=None):
     except (NotVahlen, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None):
+    try:
+        code = _run(make_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 2, and point stdout at devnull so
+        # the interpreter's own flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

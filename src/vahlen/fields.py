@@ -51,6 +51,48 @@ def _is_prime(n):
     return True
 
 
+def residue_tuples(p, n):
+    """Every n-tuple of residues mod p as the base-p numerals 0, 1, ...,
+    p**n - 1, last coordinate fastest: the order of itertools.product over
+    range(p), without its pool of p residues."""
+    digits = [0] * n
+    while True:
+        yield tuple(digits)
+        i = n - 1
+        while i >= 0 and digits[i] == p - 1:
+            digits[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        digits[i] += 1
+
+
+def sqrt_mod(a, p):
+    """The smaller square root of a mod the prime p, or None when a is not a
+    square: Tonelli-Shanks (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, Alg. 1.5.1) with the least non-residue, so the
+    result is deterministic."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 class Field:
     """Common interface of the two supported exact fields."""
 

@@ -6,17 +6,30 @@ plus a nonzero height t, standing for x + t sigma_c -- or a boundary point,
 a pair (u, b) with q(u) = c standing for (infinity u)_b + infinity sigma_c.
 Boundary arithmetic never touches a symbolic infinity: the starred linear
 coefficients are computed from their closed forms.
+
+The parts of every Moebius formula that depend on the matrix alone -- its
+entries embedded in C(V_F^c) and its pseudo-determinant for a regular
+point; N(c), N(a), a conj(c) and the conjugates of the entries for a
+boundary point -- are built once per matrix, on the first point that needs
+them, and kept in the matrix's memo under (name, kind, c).  A CMatrix2 is
+never changed once built and every constant is an exact function of its
+entries, the kind and c, so a kept constant equals the one recomputed at
+every point; the embedded entries are reused only for the algebra they were
+embedded in.  The formula itself still runs once per (point, matrix).
+
+Over GF(p) the finite sets (parts, points, K-vectors) are scanned as
+residue tuples in numeral order, with q tested on plain integers; only
+the hits become Scalars.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .clifford import CliffordElement
-from .fields import PrimeField
+from .fields import PrimeField, Scalar, residue_tuples
 from .groups import lands, matrix_to_CU, matrix_to_CUF
 from .matrices import (CMatrix2, NotVahlen, TooLarge, dilation, is_vahlen,
                        pseudo_det, translation, weyl)
+from .quadratic import QuadraticSpace
 
 
 class InvariantViolation(ValueError):
@@ -72,6 +85,7 @@ class HalfSpace:
         self.e_idx = self.uspace.labels["e"]
         self.f_idx = self.uspace.labels["f"]
         self.part_len = space.dim + (1 if kind == "paravector" else 0)
+        self._part_space = None
 
     # -- parts: V-coordinates, or (scalar, V-coordinates) for paravectors ----
 
@@ -91,22 +105,29 @@ class HalfSpace:
         return CliffordElement.paravector(self.space, part[0],
                                           self.space.vector(part[1:]))
 
+    @property
+    def part_space(self):
+        """The quadratic space of the parts: V, or F + V with the scalar
+        first and q(a + v) = q(v) - a^2, so (a + v, b + u) = (v, u) - 2ab."""
+        if self._part_space is None:
+            space = self.space
+            if self.kind == "vector":
+                self._part_space = space
+            else:
+                pairs = {(i + 1, j + 1): v
+                         for (i, j), v in space.pairs.items()}
+                self._part_space = QuadraticSpace(
+                    self.field, (-self.field.one,) + space.qdiag, pairs)
+        return self._part_space
+
     def part_q(self, part):
-        if self.kind == "vector":
-            return self.space.q(part)
-        a = part[0]
-        return self.space.q(part[1:]) - a * a
+        return self.part_space.q(part)
 
     def part_pairing(self, part, other):
-        if self.kind == "vector":
-            return self.space.bilinear(part, other)
-        return (self.space.bilinear(part[1:], other[1:])
-                - 2 * part[0] * other[0])
+        return self.part_space.bilinear(part, other)
 
     def part_in_radical(self, part):
-        if self.kind == "vector":
-            return self.space.in_radical(part)
-        return part[0].is_zero() and self.space.in_radical(part[1:])
+        return self.part_space.in_radical(part)
 
     def _element_to_part(self, x):
         """Inverse of part_element; x must be a vector resp. paravector."""
@@ -140,10 +161,8 @@ class HalfSpace:
 
     def represented(self):
         """Is c a q-value of the part space (finite fields by enumeration)?"""
-        for part in self._all_parts():
-            if self.part_q(part) == self.c:
-                return True
-        return False
+        q, c = residue_q(self.part_space), self.c.value
+        return any(q(t) == c for t in self._residues(self.part_len))
 
     # -- half-space <-> Clifford elements of C(V_F^c) ---------------------------
 
@@ -151,9 +170,13 @@ class HalfSpace:
         """x + t sigma_c as an element of C(V_F^c); regular points only."""
         if p.boundary:
             raise InvariantViolation("boundary points have no finite lift")
-        z = self.part_element(p.part).embed(self.sigma_space)
-        sigma = CliffordElement.monomial(self.sigma_space, (self.sigma_idx,))
-        return z + sigma * p.height
+        if self.kind == "vector":
+            coeffs = {(i,): x for i, x in enumerate(p.part)}
+        else:
+            coeffs = {(): p.part[0]}
+            coeffs.update(((i,), x) for i, x in enumerate(p.part[1:]))
+        coeffs[(self.sigma_idx,)] = p.height
+        return CliffordElement(self.sigma_space, coeffs)
 
     def _split(self, x):
         """Split an element of C(V_F^c) into (part tuple, sigma coefficient);
@@ -179,31 +202,58 @@ class HalfSpace:
         if not is_vahlen(m, self.kind):
             raise NotVahlen(f"matrix is not in the {self.kind} Vahlen group")
 
+    def _det(self, m):
+        """pseudo_det(m), once per matrix, kind and c."""
+        key = ("det", self.kind, self.c)
+        det = m._memo.get(key)
+        if det is None:
+            det = m._memo[key] = pseudo_det(m, self.kind)
+        return det
+
+    def _regular_constants(self, m):
+        """The entries embedded in C(V_F^c); rebuilt if the matrix last met
+        a half-space over another algebra."""
+        key = ("regular", self.kind, self.c)
+        hit = m._memo.get(key)
+        if hit is None or hit[0] is not self.sigma_space:
+            hit = m._memo[key] = (self.sigma_space, tuple(
+                x.embed(self.sigma_space) for x in m.entries()))
+        return hit[1]
+
+    def _boundary_constants(self, m):
+        """N(c), N(a), a conj(c), and the conjugates of a, b, c, d."""
+        key = ("boundary", self.kind, self.c)
+        hit = m._memo.get(key)
+        if hit is None:
+            a, b, c, d = m.entries()
+            ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
+            hit = m._memo[key] = (c * cc, a * ac, a * cc, ac, bc, cc, dc)
+        return hit
+
     def _regular_data(self, m, p):
         """num = (az+b) conj(cz+d), its norm pieces, and det, at a regular z."""
         z = self.lift(p)
-        a, b, c, d = (x.embed(self.sigma_space) for x in m.entries())
+        a, b, c, d = self._regular_constants(m)
         upper = a * z + b
         lower = c * z + d
-        num = upper * lower.conj()
-        den = lower.norm().to_scalar()
+        lower_bar = lower.conj()
+        num = upper * lower_bar
+        den = (lower * lower_bar).to_scalar()
         num_norm = upper.norm().to_scalar()
-        det = pseudo_det(m, self.kind)
-        return num, den, num_norm, det
+        return num, den, num_norm, self._det(m)
 
     def _boundary_data(self, m, p):
         """The starred linear coefficients at a boundary point, computed from
         their closed forms entirely inside C(V)."""
         a, b, c, d = m.entries()
+        norm_c, norm_a, a_cbar, ab, bb, cb, db = self._boundary_constants(m)
         u = self.part_element(p.part)
         ub, height = u.conj(), p.height
-        den_star = (c.norm() * height + (c * u * d.conj() + d * ub * c.conj())
-                    ).to_scalar()
-        num_norm_star = (a.norm() * height
-                         + (a * u * b.conj() + b * ub * a.conj())).to_scalar()
-        star = a * c.conj() * height + (a * u * d.conj() + b * ub * c.conj())
-        det = pseudo_det(m, self.kind)
-        return star, den_star, num_norm_star, det
+        au, bub = a * u, b * ub
+        den_star = (norm_c * height + (c * u * db + d * ub * cb)).to_scalar()
+        num_norm_star = (norm_a * height + (au * bb + bub * ab)).to_scalar()
+        star = a_cbar * height + (au * db + bub * cb)
+        return star, den_star, num_norm_star, self._det(m)
 
     def mobius_denominator(self, p, m):
         """N(cz + d) at a regular point, or its starred coefficient at a
@@ -352,40 +402,49 @@ class HalfSpace:
 
     # -- finite enumeration and the orbit census ------------------------------------
 
-    def _all_parts(self):
+    def _residues(self, n):
+        """Every n-tuple of residues in numeral order (GF(p) only)."""
         if not isinstance(self.field, PrimeField):
             raise TooLarge("point enumeration needs a finite field")
-        return [tuple(t) for t in
-                itertools.product(list(self.field.elements()),
-                                  repeat=self.part_len)]
+        return residue_tuples(self.field.modulus, n)
+
+    def _parts(self):
+        """(residues, part) for every part, in numeral order."""
+        field = self.field
+        return ((t, tuple(Scalar(field, v) for v in t))
+                for t in self._residues(self.part_len))
+
+    def _all_parts(self):
+        return [part for _, part in self._parts()]
 
     def enumerate_points(self, max_points=10**6):
+        parts = self._parts()  # TooLarge over Q, before the modulus is read
         p = self.field.modulus
         bound = p ** self.part_len * p
         if bound > max_points:
             raise TooLarge(f"about {bound} points exceed {max_points}")
+        q, c = residue_q(self.part_space), self.c.value
+        heights = list(self.field.elements())
         points = []
-        for part in self._all_parts():
-            for t in self.field.elements():
-                if not t.is_zero():
-                    points.append(HPoint(False, part, t))
-            if self.part_q(part) == self.c:
-                radical = self.part_in_radical(part)
-                for b in self.field.elements():
-                    if self.c.is_zero() and radical and b.is_zero():
-                        continue
+        for t, part in parts:
+            for h in heights[1:]:
+                points.append(HPoint(False, part, h))
+            if q(t) == c:
+                skip_zero = c == 0 and self.part_in_radical(part)
+                for b in heights[skip_zero:]:
                     points.append(HPoint(True, part, b))
         return points
 
     def k_set(self):
-        coords_pool = itertools.product(list(self.field.elements()),
-                                        repeat=self.uspace.dim)
-        out = []
-        for coords in coords_pool:
-            w = self.uspace.vector(coords)
-            if self.k_contains(w):
-                out.append(w)
-        return out
+        """Every vector of V_U (V_{U,F}) with q-value c outside the
+        radical, in numeral order."""
+        space = self.uspace
+        p, q, c = self.field.modulus, residue_q(space), self.c.value
+        gram = [[g.value for g in row] for row in space.gram()]
+        return [space.vector(t) for t in self._residues(space.dim)
+                if q(t) == c
+                and any(sum(g * x for g, x in zip(row, t)) % p
+                        for row in gram)]
 
     def _basis_parts(self):
         parts = []
@@ -408,13 +467,14 @@ class HalfSpace:
         for d in nonzero:
             gens.append(_diag(space, d.inverse(), d))
         seen_norms = set()
-        for part in self._all_parts():
-            q = self.part_q(part)
-            if q.is_zero() or q in seen_norms:
+        q = residue_q(self.part_space)
+        for t, part in self._parts():
+            value = q(t)
+            if not value or value in seen_norms:
                 continue
-            seen_norms.add(q)
+            seen_norms.add(value)
             delta = self.part_element(part)
-            scale = (-q).inverse()
+            scale = (-self.field.element(value)).inverse()
             gens.append(CMatrix2(delta.grade_involution() * scale,
                                  CliffordElement.zero(space),
                                  CliffordElement.zero(space), delta))
@@ -443,20 +503,21 @@ class HalfSpace:
     def _transitivity_witness(self, a):
         """The matrix (-a xi, -(1+a q(xi))/d; d, xi) built from a regular
         point of q^c-value -1/a, sending sigma_c to a sigma_c."""
-        target = -a.inverse()
-        for part in self._all_parts():
-            for d in self.field.elements():
-                if d.is_zero():
-                    continue
-                if self.part_q(part) - self.c * d * d == target:
-                    xi = self.part_element(part)
+        field = self.field
+        p, c, q = field.modulus, self.c.value, residue_q(self.part_space)
+        target = (-a.inverse()).value
+        for t, part in self._parts():
+            qt = q(t)
+            for dv in range(1, p):
+                if (qt - c * dv * dv - target) % p == 0:
+                    xi, d = self.part_element(part), Scalar(field, dv)
                     space = self.space
                     beta = -(1 + a * self.part_q(part)) / d
                     m = CMatrix2(xi * (-a),
                                  CliffordElement.scalar(space, beta),
                                  CliffordElement.scalar(space, d), xi)
                     if is_vahlen(m, self.kind) and \
-                            pseudo_det(m, self.kind) == self.field.one:
+                            self._det(m) == self.field.one:
                         return m
         return None
 
@@ -516,6 +577,7 @@ class HalfSpace:
             "transitive": len(orbits) == 1,
         }
         if boundary_count == 0 and group == "special":
+            part_count = self.field.modulus ** self.part_len
             realized = sorted(
                 (t for t in (p.height for p in base_orbit
                              if p.part == self.zero_part())),
@@ -533,7 +595,7 @@ class HalfSpace:
                 rep = next(iter(heights))
                 coset = {rep * s for s in realized_set}
                 if heights != coset or \
-                        len(orb) != len(coset) * len(self._all_parts()):
+                        len(orb) != len(coset) * part_count:
                     cosets_ok = False
             report["norm_subgroup"] = [str(t) for t in realized]
             report["norm_subgroup_closed"] = closed
@@ -548,6 +610,22 @@ class HalfSpace:
         report["predictions_ok"] = (report["predictions_ok"]
                                     and report["counts_match_k"])
         return report
+
+
+def residue_q(space):
+    """q of a GF(p) space on residue tuples, as a residue."""
+    p = space.field.modulus
+    diag = [(i, v.value) for i, v in enumerate(space.qdiag) if v.value]
+    cross = [(i, j, v.value) for (i, j), v in space.pairs.items()]
+
+    def q(x):
+        acc = 0
+        for i, v in diag:
+            acc += v * x[i] * x[i]
+        for i, j, v in cross:
+            acc += v * x[i] * x[j]
+        return acc % p
+    return q
 
 
 def _point_sort_key(p):

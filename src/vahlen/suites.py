@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 from .clifford import (CliffordElement, SolveTooLarge, all_monomials,
                        element_to_json, iota, iota_inv, paravector_pairing,
                        paravector_q, rho_map, upsilon_map)
-from .fields import PrimeField, Rationals
+from .fields import PrimeField, Rationals, residue_tuples, sqrt_mod
 from .groups import (CMatrix2, CU_to_matrix, CUF_to_matrix, matrix_involution,
                      matrix_to_CU, matrix_to_CUF)
-from .halfspace import HalfSpace, point_to_json
+from .halfspace import HalfSpace, point_to_json, residue_q
 from .matrices import (NotVahlen, diagnose, is_vahlen, matrix_inverse,
                        matrix_to_json, pseudo_det, random_paravector,
                        random_vahlen, random_vector)
@@ -414,25 +415,61 @@ def boundary_parts(hs, limit=6):
     k is the base-b numeral of k over an alphabet of b scalars (the
     residues over GF(p), a small grid over Q), last coordinate fastest; the
     scan stops at `limit` hits or after BOUNDARY_BUDGET candidates, so it
-    never lists the field or the part tuples."""
-    field = hs.field
+    never lists the field or the part tuples.  A GF(p) scan that would pass
+    the budget solves for one coordinate instead (_solved_boundary_parts)."""
+    field, n = hs.field, hs.part_len
     if isinstance(field, PrimeField):
-        base, digit = field.modulus, field.element
+        p = field.modulus
+        if p ** n > BOUNDARY_BUDGET:
+            return _solved_boundary_parts(hs, limit)
+        q, c = residue_q(hs.part_space), hs.c.value
+        hits = (tuple(map(field.element, t))
+                for t in residue_tuples(p, n) if q(t) == c)
     else:
         grid = [field.element(v) for v in (0, 1, -1, 2, -2, Fraction(1, 2))]
-        base, digit = len(grid), grid.__getitem__
-    n = hs.part_len
+        parts = (tuple(grid[k] for k in t)
+                 for t in residue_tuples(len(grid), n))
+        hits = (part for part in islice(parts, BOUNDARY_BUDGET)
+                if hs.part_q(part) == hs.c)
+    return list(islice(hits, limit))
+
+
+def _solved_boundary_parts(hs, limit):
+    """Boundary parts over a GF(p) too large to scan: the last coordinate
+    x_j in which q is not constant is solved from q = c, and the other such
+    coordinates run through the numerals, at most BOUNDARY_BUDGET of them.
+    With the rest fixed, q = q(e_j) x_j^2 + l x_j + q_0, which is linear
+    when q(e_j) = 0 and needs a square root mod p otherwise.  Coordinates
+    in which q is constant (radical basis vectors) stay 0."""
+    space, field, p = hs.part_space, hs.field, hs.field.modulus
+    gram = [[g.value for g in row] for row in space.gram()]
+    active = [i for i, row in enumerate(gram) if any(row)]
+    if not active:  # q vanishes on every part
+        parts = residue_tuples(p, hs.part_len) if hs.c.is_zero() else ()
+        return [tuple(map(field.element, t)) for t in islice(parts, limit)]
+    j, rest = active[-1], active[:-1]
+    q, c, qj = residue_q(space), hs.c.value, space.qdiag[j].value
     found = []
-    for index in range(min(base ** n, BOUNDARY_BUDGET)):
-        digits = []
-        for _ in range(n):
-            index, r = divmod(index, base)
-            digits.append(digit(r))
-        part = tuple(reversed(digits))
-        if hs.part_q(part) == hs.c:
-            found.append(part)
+    for values in islice(residue_tuples(p, len(rest)), BOUNDARY_BUDGET):
+        x = [0] * hs.part_len
+        for i, v in zip(rest, values):
+            x[i] = v
+        lin = sum(gram[j][i] * x[i] for i in rest) % p
+        const = (q(x) - c) % p
+        if qj:
+            r = sqrt_mod(lin * lin - 4 * qj * const, p)
+            inv = pow(2 * qj, -1, p)
+            roots = () if r is None else sorted(
+                {(-lin + r) * inv % p, (-lin - r) * inv % p})
+        elif lin:
+            roots = (-const * pow(lin, -1, p) % p,)
+        else:
+            roots = () if const else (0,)
+        for root in roots:
+            x[j] = root
+            found.append(tuple(map(field.element, x)))
             if len(found) >= limit:
-                break
+                return found
     return found
 
 

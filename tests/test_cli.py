@@ -293,3 +293,51 @@ def test_verify_huge_prime_field_stays_bounded():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "all properties passed" in proc.stdout
+
+
+def test_boundary_parts_past_the_budget_solve_for_a_coordinate():
+    """Over GF(2^61 - 1) a numeral scan sees only parts with leading zeros
+    and finds none of these; solving for one coordinate does, and each
+    found part has q-value c."""
+    field = PrimeField(2 ** 61 - 1)
+    cases = [([1, 1], -1), ([1, -1, 2, 0], 1), ([1, -1, 2, 0], -1),
+             ([0, 0], 0), ([0, 0], 1)]
+    for qdiag, c in cases:
+        for kind in ("vector", "paravector"):
+            hs = HalfSpace(QuadraticSpace(field, qdiag), c, kind)
+            found = boundary_parts(hs)
+            assert all(hs.part_q(part) == hs.c for part in found)
+            assert len(set(found)) == len(found)
+            if qdiag != [0, 0]:
+                assert len(found) == 6
+    # q vanishes on V: the only boundary parts of H^1 are paravectors
+    assert boundary_parts(HalfSpace(QuadraticSpace(field, [0, 0]), 1,
+                                    "vector")) == []
+    # a nonzero pairing and no square term: the coordinate is linear
+    hs = HalfSpace(QuadraticSpace(field, [0, 0], {(0, 1): 1}), 3, "vector")
+    found = boundary_parts(hs, limit=4)
+    assert len(found) == 4 and all(hs.part_q(x) == hs.c for x in found)
+
+
+def test_closed_pipe_exits_2_without_traceback():
+    """A reader that closed stdout before the first line is not an error
+    the harness reports with a traceback."""
+    src = str(Path(vahlen.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vahlen.cli", "enumerate", "--field",
+             "F3", "--space", SPACE_F3_X2, "--kind", "vector"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+
+
+def test_orbit_over_q_is_a_config_error(capsys):
+    code, out, err = run(capsys, ["orbit", "--field", "Q", "--json"])
+    assert code == 2 and not out
+    assert err.startswith("error:") and "finite field" in err

@@ -1,5 +1,6 @@
 """Exact field arithmetic over Q and GF(p)."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vahlen.fields import (PRIME_BOUND, FieldMismatch, InfiniteField,
-                           PrimeField, Q, _is_prime, parse_field)
+                           PrimeField, Q, _is_prime, parse_field,
+                           residue_tuples, sqrt_mod)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -151,3 +153,33 @@ def test_scalar_hash_and_pow():
     assert hash(F5.element(7)) == hash(F5.element(2))
     assert Q.element(Fraction(1, 2)) ** 3 == Q.parse("1/8")
     assert F3.element(2) ** -1 == F3.element(2)
+
+
+def test_sqrt_mod_matches_brute_force():
+    """For every prime p < 200 and every residue: None exactly for the
+    non-squares, otherwise the smaller root."""
+    for p in (n for n in range(2, 200) if _is_prime(n)):
+        roots = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, x)
+        for a in range(p):
+            assert sqrt_mod(a, p) == roots.get(a)
+        assert sqrt_mod(a + 5 * p, p) == roots.get(a)
+
+
+def test_sqrt_mod_large_prime():
+    p = 2 ** 61 - 1
+    for a in (2, 3, 10 ** 12, p - 2):
+        r = sqrt_mod(a, p)
+        assert r is None or (r * r % p == a % p and r <= p - r)
+    assert sqrt_mod(p - 1, p) is None  # p = 3 mod 4
+    assert sqrt_mod(4, p) == 2
+
+
+def test_residue_tuples_in_numeral_order():
+    for p, n in ((3, 0), (3, 1), (3, 3), (5, 2), (2, 4)):
+        assert list(residue_tuples(p, n)) == \
+            list(itertools.product(range(p), repeat=n))
+    # lazy: a 61-bit modulus yields its first numerals at once
+    head = list(itertools.islice(residue_tuples(2 ** 61 - 1, 2), 3))
+    assert head == [(0, 0), (0, 1), (0, 2)]

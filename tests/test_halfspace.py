@@ -1,17 +1,20 @@
 """Completed half-spaces: the K-model bijection, the four-case Moebius
 formula, equivariance, value identities, stabilizers, and orbit censuses."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from vahlen import halfspace
 from vahlen.clifford import CliffordElement
 from vahlen.fields import PrimeField, Q
 from vahlen.groups import CMatrix2
 from vahlen.halfspace import (HalfSpace, InvariantViolation,
                               point_from_json, point_to_json)
-from vahlen.matrices import (NotVahlen, TooLarge, dilation, random_vahlen,
-                             translation, weyl)
+from vahlen.matrices import (NotVahlen, TooLarge, dilation, pseudo_det,
+                             random_vahlen, translation, weyl)
 from vahlen.quadratic import QuadraticSpace
 
 F3 = PrimeField(3)
@@ -361,3 +364,214 @@ def test_point_json(hs, hp):
                              "t": "1", "model": "paravector"})
     with pytest.raises(ValueError):
         point_from_json(hs, {"kind": "diagonal", "v": [], "t": "1"})
+
+
+# -- the census on per-matrix constants and integer scans ---------------------
+#
+# The references below are the loops and the Moebius formula the census ran
+# before its constants were kept per matrix and its scans ran on integers.
+
+
+def _k_set_reference(h):
+    out = []
+    for coords in itertools.product(list(h.field.elements()),
+                                    repeat=h.uspace.dim):
+        w = h.uspace.vector(coords)
+        if h.k_contains(w):
+            out.append(w)
+    return out
+
+
+def _lift_reference(h, p):
+    z = h.part_element(p.part).embed(h.sigma_space)
+    sigma = CliffordElement.monomial(h.sigma_space, (h.sigma_idx,))
+    return z + sigma * p.height
+
+
+def _mobius_reference(h, m, p):
+    """Every entry embedding, conjugate, norm and det recomputed here."""
+    det = pseudo_det(m, h.kind)
+    if not p.boundary:
+        z = _lift_reference(h, p)
+        a, b, c, d = (x.embed(h.sigma_space) for x in m.entries())
+        upper, lower = a * z + b, c * z + d
+        part, sigma_coeff = h._split(upper * lower.conj())
+        assert sigma_coeff == p.height * det
+        den = lower.norm().to_scalar()
+        if not den.is_zero():
+            inv = den.inverse()
+            return h.regular_point([x * inv for x in part], sigma_coeff * inv)
+        scale = (p.height * det).inverse()
+        return h.boundary_point([x * scale for x in part],
+                                upper.norm().to_scalar() * scale)
+    a, b, c, d = m.entries()
+    u = h.part_element(p.part)
+    ub, t = u.conj(), p.height
+    den_star = (c.norm() * t + (c * u * d.conj() + d * ub * c.conj())
+                ).to_scalar()
+    num_norm_star = (a.norm() * t
+                     + (a * u * b.conj() + b * ub * a.conj())).to_scalar()
+    part = h._element_to_part(
+        a * c.conj() * t + (a * u * d.conj() + b * ub * c.conj()))
+    if not den_star.is_zero():
+        inv = den_star.inverse()
+        return h.regular_point([x * inv for x in part], det * inv)
+    inv = det.inverse()
+    return h.boundary_point([x * inv for x in part], num_norm_star * inv)
+
+
+def _forms(field, max_dim):
+    """Every form of dim <= max_dim: all qdiag values and pair values."""
+    values = range(field.modulus)
+    for dim in range(max_dim + 1):
+        pair_keys = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        for qdiag in itertools.product(values, repeat=dim):
+            for pv in itertools.product(values, repeat=len(pair_keys)):
+                yield QuadraticSpace(field, qdiag, dict(zip(pair_keys, pv)))
+
+
+def _halfspaces(field, max_dim):
+    for space in _forms(field, max_dim):
+        for c in range(field.modulus):
+            for kind in ("vector", "paravector"):
+                yield HalfSpace(space, c, kind)
+
+
+# the orbit configurations of the census benchmark, with the (point,
+# generator) pairs each special-group census applies
+CENSUS_CONFIGS = [
+    (5, [1, 1], {}, "paravector", 1, 7800),
+    (7, [1, 1], {}, "vector", 1, 5250),
+    (7, [1], {}, "paravector", 2, 5040),
+    (5, [1, 0], {(0, 1): 1}, "vector", 1, 1320),
+    (3, [1, 0], {(0, 1): 1}, "paravector", 1, 576),
+    (3, [1, 0, 1], {}, "paravector", -1, 1944),
+    (5, [1], {}, "vector", 0, 192),
+]
+
+
+def _census_halfspace(p, qdiag, pairs, kind, c):
+    return HalfSpace(QuadraticSpace(PrimeField(p), qdiag, pairs), c, kind)
+
+
+def test_integer_k_set_matches_vector_scan():
+    """On every GF(3) form of dim <= 2 and GF(5) form of dim <= 1, for
+    every c and both kinds, in the same order."""
+    count = 0
+    for field, max_dim in ((F3, 2), (F5, 1)):
+        for h in _halfspaces(field, max_dim):
+            assert h.k_set() == _k_set_reference(h)
+            count += 1
+    assert count == 31 * 3 * 2 + 6 * 5 * 2
+
+
+def test_direct_lift_matches_embedded_sum():
+    """Every regular point of the GF(3) half-spaces of dim <= 2, and seeded
+    points over Q."""
+    checked = 0
+    for h in _halfspaces(F3, 2):
+        for p in h.enumerate_points():
+            if p.regular:
+                lifted = h.lift(p)
+                assert lifted == _lift_reference(h, p)
+                assert lifted.space is h.sigma_space
+                checked += 1
+    rng = random.Random(6)
+    for qdiag, pairs in (([1, -1], {}), ([1, -1, 2, 0], {(0, 1): 1})):
+        for kind in ("vector", "paravector"):
+            h = HalfSpace(QuadraticSpace(Q, qdiag, pairs), -1, kind)
+            for _ in range(40):
+                part = [rng.choice((0, 1, -2, Q.parse("3/4")))
+                        for _ in range(h.part_len)]
+                p = h.regular_point(part, rng.choice((1, -1, Q.parse("2/5"))))
+                assert h.lift(p) == _lift_reference(h, p)
+                checked += 1
+    assert checked > 5000
+
+
+def test_census_computes_each_pseudo_det_once(monkeypatch):
+    calls = Counter()
+    kept = []  # keeps every matrix alive, so its id stays unique
+    gens = []
+
+    def counting_det(m, kind):
+        calls[id(m), kind] += 1
+        kept.append(m)
+        return pseudo_det(m, kind)
+
+    real_generators = HalfSpace.census_generators
+
+    def recording_generators(self, group):
+        out = real_generators(self, group)
+        gens.extend((id(g), self.kind) for g in out)
+        kept.extend(out)
+        return out
+
+    monkeypatch.setattr(halfspace, "pseudo_det", counting_det)
+    monkeypatch.setattr(HalfSpace, "census_generators", recording_generators)
+    # the second searches for transitivity witnesses, each a fresh matrix
+    for p, qdiag, pairs, kind, c, _ in (CENSUS_CONFIGS[4],
+                                        CENSUS_CONFIGS[6]):
+        h = _census_halfspace(p, qdiag, pairs, kind, c)
+        for group in ("special", "full"):
+            h.orbit_census(group)
+    assert gens and all(calls[g] == 1 for g in gens)
+    assert max(calls.values()) == 1
+
+
+def test_warm_memo_matches_fresh_matrix_and_reference():
+    """Every (generator, point) pair of a GF(3) paravector census, boundary
+    points included: the constants kept on the generator give the image a
+    fresh equal matrix gives, and the image of the formula recomputed from
+    scratch."""
+    h = _census_halfspace(*CENSUS_CONFIGS[4][:5])
+    points = h.enumerate_points()
+    gens = h.census_generators("special")
+    for g in gens:  # warm every memo on both paths first
+        for p in points:
+            h.mobius_apply(g, p)
+    kinds = Counter()
+    for g in gens:
+        for p in points:
+            image = h.mobius_apply(g, p)
+            assert image == h.mobius_apply(CMatrix2(*g.entries()), p)
+            assert image == _mobius_reference(h, g, p)
+            kinds[p.boundary, image.boundary] += 1
+    assert len(kinds) == 4  # all four Moebius cases ran
+
+
+def test_census_applies_each_generator_once_per_point(monkeypatch):
+    """The census on the benchmark configurations does points x generators
+    Moebius applications, no more and no fewer."""
+    applied = Counter()
+    real_apply = HalfSpace.mobius_apply
+
+    def counting_apply(self, m, p):
+        applied[id(self)] += 1
+        return real_apply(self, m, p)
+
+    monkeypatch.setattr(HalfSpace, "mobius_apply", counting_apply)
+    total = 0
+    for p, qdiag, pairs, kind, c, pairs_applied in CENSUS_CONFIGS:
+        h = _census_halfspace(p, qdiag, pairs, kind, c)
+        report = h.orbit_census("special")
+        gens = h.census_generators("special")
+        assert applied[id(h)] == report["point_count"] * len(gens)
+        assert applied[id(h)] == pairs_applied
+        total += applied[id(h)]
+    assert total == 22122
+
+
+def test_kept_entries_follow_the_target_algebra():
+    """A matrix over V also acts on the half-space of an extension of V;
+    the entries kept for one algebra are not reused in the other."""
+    V = QuadraticSpace(Q, [1, -1])
+    wide = HalfSpace(QuadraticSpace(Q, [1, -1, 2]), 1, "vector")
+    narrow = HalfSpace(V, 1, "vector")
+    m = translation(V, "vector", CliffordElement.monomial(V, (0,))) \
+        * weyl(V) * dilation(V, 3)
+    points = [(narrow, narrow.regular_point([1, 2], 3)),
+              (wide, wide.regular_point([1, 2, 0], 3)),
+              (narrow, narrow.regular_point([0, 1], -1))]
+    for h, p in points:
+        assert h.mobius_apply(m, p) == _mobius_reference(h, m, p)
