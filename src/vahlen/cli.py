@@ -55,7 +55,7 @@ def _load_json_arg(text, what):
 
 def build_config(args):
     try:
-        field = parse_field(args.field)
+        field = parse_field("Q" if args.field is None else args.field)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if args.space is not None:
@@ -64,6 +64,9 @@ def build_config(args):
             space = space_from_json(data)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"bad space: {exc}") from exc
+        if args.field is not None and space.field != field:
+            raise ConfigError(f"--field {field} conflicts with the space's "
+                              f"field {space.field}")
     else:
         space = QuadraticSpace(field, [field.one, -field.one])
     if args.samples < 1:
@@ -167,8 +170,9 @@ def cmd_orbit(config, group):
 
 
 def _add_common(parser):
-    parser.add_argument("--field", default="Q",
-                        help='field descriptor: "Q" or "Fp" (e.g. F3)')
+    parser.add_argument("--field", default=None,
+                        help='field descriptor: "Q" (default) or "Fp" (e.g. '
+                             'F3); must match the field of --space')
     parser.add_argument("--space", default=None,
                         help="space JSON (inline or a file path); default is "
                              "dim 2 with qdiag (1, -1)")

@@ -62,20 +62,19 @@ class NotAParavector(ValueError):
 
 
 def _kernel(space):
-    """The integer form of a space's relations, built on first use:
-    (p, L, D, q, above) with p the modulus (None over Q), D = L**dim, q[i]
-    the integer L q(e_i), and above[i] mapping each j > i with a nonzero
-    pair value to the integer L (e_i, e_j)."""
+    """The integer form of a space's relations, scaled from its raw form on
+    first use: (p, L, D, q, above) with p the modulus (None over Q),
+    D = L**dim, q[i] the integer L q(e_i), and above[i] mapping each j > i
+    with a nonzero pair value to the integer L (e_i, e_j)."""
     kern = space._kernel
     if kern is None:
-        p = space.field.modulus
-        qs = [c.value for c in space.qdiag]
-        pairs = {key: v.value for key, v in space.pairs.items()}
+        form = space.raw
+        p, qs = form.p, form.qdiag
         step = 1 if p is not None else lcm(
-            *(v.denominator for v in qs + list(pairs.values())))
+            *(v.denominator for v in qs + tuple(v for *_, v in form.pairs)))
         scaled = lambda v: v.numerator * (step // v.denominator)
         above = [{} for _ in qs]
-        for (i, j), v in pairs.items():
+        for i, j, v in form.pairs:
             above[i][j] = scaled(v)
         kern = space._kernel = (p, step, step ** space.dim,
                                 tuple(scaled(v) for v in qs), above)

@@ -7,6 +7,7 @@ point anywhere, and fields of characteristic 2 are rejected at construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 
@@ -104,11 +105,12 @@ class Field:
             return value
         return Scalar(self, self._coerce(value))
 
-    @property
+    # scalars are never changed once built, so each field shares one 0 and 1
+    @cached_property
     def zero(self):
         return self.element(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.element(1)
 

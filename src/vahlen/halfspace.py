@@ -7,19 +7,22 @@ a pair (u, b) with q(u) = c standing for (infinity u)_b + infinity sigma_c.
 Boundary arithmetic never touches a symbolic infinity: the starred linear
 coefficients are computed from their closed forms.
 
-The parts of every Moebius formula that depend on the matrix alone -- its
-entries embedded in C(V_F^c) and its pseudo-determinant for a regular
-point; N(c), N(a), a conj(c) and the conjugates of the entries for a
-boundary point -- are built once per matrix, on the first point that needs
-them, and kept in the matrix's memo under (name, kind, c).  A CMatrix2 is
-never changed once built and every constant is an exact function of its
-entries, the kind and c, so a kept constant equals the one recomputed at
-every point; the embedded entries are reused only for the algebra they were
-embedded in.  The formula itself still runs once per (point, matrix).
+The parts of every Moebius formula that depend on the matrix alone are
+built once per matrix, on the first point that needs them, and kept in the
+matrix's memo: the pseudo-determinant under ("det", kind); N(c), N(a),
+a conj(c) and the conjugates of the entries for a boundary point under
+"boundary"; and two images in another algebra, each kept next to that
+algebra and rebuilt when the matrix meets a half-space over a different
+one -- the entries embedded in C(V_F^c) for a regular point under
+("regular", kind, c), and the image in C(V_U) or C(V_{U,F}) under
+("eta", kind).  A CMatrix2 is never changed once built and every constant
+is an exact function of its entries (and the target algebra), so a kept
+constant equals the one recomputed at every point.  The formula itself
+still runs once per (point, matrix).
 
 Over GF(p) the finite sets (parts, points, K-vectors) are scanned as
-residue tuples in numeral order, with q tested on plain integers; only
-the hits become Scalars.
+residue tuples in numeral order, with q and the radical tested on the raw
+form of the space; only the hits become Scalars.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ class HalfSpace:
 
     def represented(self):
         """Is c a q-value of the part space (finite fields by enumeration)?"""
-        q, c = residue_q(self.part_space), self.c.value
+        q, c = self.part_space.raw.q, self.c.value
         return any(q(t) == c for t in self._residues(self.part_len))
 
     # -- half-space <-> Clifford elements of C(V_F^c) ---------------------------
@@ -203,31 +206,27 @@ class HalfSpace:
             raise NotVahlen(f"matrix is not in the {self.kind} Vahlen group")
 
     def _det(self, m):
-        """pseudo_det(m), once per matrix, kind and c."""
-        key = ("det", self.kind, self.c)
+        """pseudo_det(m), once per matrix and kind."""
+        key = ("det", self.kind)
         det = m._memo.get(key)
         if det is None:
             det = m._memo[key] = pseudo_det(m, self.kind)
         return det
 
     def _regular_constants(self, m):
-        """The entries embedded in C(V_F^c); rebuilt if the matrix last met
-        a half-space over another algebra."""
-        key = ("regular", self.kind, self.c)
-        hit = m._memo.get(key)
-        if hit is None or hit[0] is not self.sigma_space:
-            hit = m._memo[key] = (self.sigma_space, tuple(
-                x.embed(self.sigma_space) for x in m.entries()))
-        return hit[1]
+        """The entries embedded in C(V_F^c)."""
+        return _kept_in(
+            m, ("regular", self.kind, self.c), self.sigma_space,
+            lambda: tuple(x.embed(self.sigma_space) for x in m.entries()))
 
     def _boundary_constants(self, m):
         """N(c), N(a), a conj(c), and the conjugates of a, b, c, d."""
-        key = ("boundary", self.kind, self.c)
-        hit = m._memo.get(key)
+        hit = m._memo.get("boundary")
         if hit is None:
             a, b, c, d = m.entries()
             ac, bc, cc, dc = a.conj(), b.conj(), c.conj(), d.conj()
-            hit = m._memo[key] = (c * cc, a * ac, a * cc, ac, bc, cc, dc)
+            hit = m._memo["boundary"] = (c * cc, a * ac, a * cc,
+                                         ac, bc, cc, dc)
         return hit
 
     def _regular_data(self, m, p):
@@ -348,15 +347,10 @@ class HalfSpace:
         return part, b
 
     def _eta(self, m):
-        key = ("eta", self.kind)
-        eta = m._memo.get(key)
-        if eta is None:
-            if self.kind == "vector":
-                eta = matrix_to_CU(m, self.uspace)
-            else:
-                eta = matrix_to_CUF(m, self.uspace)
-            m._memo[key] = eta
-        return eta
+        """The image of m in C(V_U) resp. C(V_{U,F})."""
+        to_u = matrix_to_CU if self.kind == "vector" else matrix_to_CUF
+        return _kept_in(m, ("eta", self.kind), self.uspace,
+                        lambda: to_u(m, self.uspace))
 
     def orthogonal_apply(self, m, w):
         """eta w eta* / det inside C(V_U) resp. C(V_{U,F})."""
@@ -423,14 +417,14 @@ class HalfSpace:
         bound = p ** self.part_len * p
         if bound > max_points:
             raise TooLarge(f"about {bound} points exceed {max_points}")
-        q, c = residue_q(self.part_space), self.c.value
+        form, c = self.part_space.raw, self.c.value
         heights = list(self.field.elements())
         points = []
         for t, part in parts:
             for h in heights[1:]:
                 points.append(HPoint(False, part, h))
-            if q(t) == c:
-                skip_zero = c == 0 and self.part_in_radical(part)
+            if form.q(t) == c:
+                skip_zero = c == 0 and form.in_radical(t)
                 for b in heights[skip_zero:]:
                     points.append(HPoint(True, part, b))
         return points
@@ -439,12 +433,9 @@ class HalfSpace:
         """Every vector of V_U (V_{U,F}) with q-value c outside the
         radical, in numeral order."""
         space = self.uspace
-        p, q, c = self.field.modulus, residue_q(space), self.c.value
-        gram = [[g.value for g in row] for row in space.gram()]
+        form, c = space.raw, self.c.value
         return [space.vector(t) for t in self._residues(space.dim)
-                if q(t) == c
-                and any(sum(g * x for g, x in zip(row, t)) % p
-                        for row in gram)]
+                if form.q(t) == c and not form.in_radical(t)]
 
     def _basis_parts(self):
         parts = []
@@ -467,7 +458,7 @@ class HalfSpace:
         for d in nonzero:
             gens.append(_diag(space, d.inverse(), d))
         seen_norms = set()
-        q = residue_q(self.part_space)
+        q = self.part_space.raw.q
         for t, part in self._parts():
             value = q(t)
             if not value or value in seen_norms:
@@ -504,7 +495,7 @@ class HalfSpace:
         """The matrix (-a xi, -(1+a q(xi))/d; d, xi) built from a regular
         point of q^c-value -1/a, sending sigma_c to a sigma_c."""
         field = self.field
-        p, c, q = field.modulus, self.c.value, residue_q(self.part_space)
+        p, c, q = field.modulus, self.c.value, self.part_space.raw.q
         target = (-a.inverse()).value
         for t, part in self._parts():
             qt = q(t)
@@ -612,20 +603,13 @@ class HalfSpace:
         return report
 
 
-def residue_q(space):
-    """q of a GF(p) space on residue tuples, as a residue."""
-    p = space.field.modulus
-    diag = [(i, v.value) for i, v in enumerate(space.qdiag) if v.value]
-    cross = [(i, j, v.value) for (i, j), v in space.pairs.items()]
-
-    def q(x):
-        acc = 0
-        for i, v in diag:
-            acc += v * x[i] * x[i]
-        for i, j, v in cross:
-            acc += v * x[i] * x[j]
-        return acc % p
-    return q
+def _kept_in(m, key, algebra, build):
+    """build(), kept on m next to the algebra it lives in; rebuilt when the
+    matrix last met a half-space over another algebra."""
+    hit = m._memo.get(key)
+    if hit is None or hit[0] is not algebra:
+        hit = m._memo[key] = (algebra, build())
+    return hit[1]
 
 
 def _point_sort_key(p):

@@ -123,14 +123,14 @@ def in_T(x, kind):
 
 
 def _det_ok(m, ctx):
-    """The pseudo-determinant is a nonzero scalar; kept on the matrix, as
-    three conditions ask."""
-    hit = m._memo.get("det_ok")
-    if hit is None:
+    """Is a d* - b c* a nonzero scalar?  Three conditions ask; the scalar
+    (or None) is kept on the matrix, where pseudo_det reads it."""
+    if "det" not in m._memo:
         det = ctx.mul(m.a, ctx.tr(m.d)) - ctx.mul(m.b, ctx.tr(m.c))
-        hit = m._memo["det_ok"] = (det.is_scalar()
-                                   and not det.scalar_part().is_zero())
-    return hit
+        value = det.scalar_part()
+        m._memo["det"] = (value if det.is_scalar() and not value.is_zero()
+                          else None)
+    return m._memo["det"] is not None
 
 
 def _condition1(m, ctx):
@@ -209,7 +209,7 @@ def pseudo_det(m, kind):
     """The scalar alpha delta* - beta gamma*; multiplicative on the group."""
     if not is_vahlen(m, kind):
         raise NotVahlen(condition3_failure(m, kind))
-    return (m.a * m.d.transpose() - m.b * m.c.transpose()).to_scalar()
+    return m._memo["det"]  # kept by _det_ok, which is_vahlen passed
 
 
 def matrix_inverse(m, kind):

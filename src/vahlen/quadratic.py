@@ -5,12 +5,19 @@ pairings, so q stays exact and primary; the bilinear form is reconstructed
 as (e_i, e_i) = 2 q(e_i), (e_i, e_j) = pairs[i, j].  The standard
 extensions append their new generators after the original basis, in the
 fixed order: sigma_c last; e then f; e, f, then rho.
+
+A space's RawForm, built on first use, is the one place where the form
+becomes raw values: residues mod p over GF(p), Fractions over Q.  It holds
+the q(e_i), the pair values and the Gram rows, and evaluates q and the
+radical test on raw coordinates.  The Scalar methods q, bilinear and
+in_radical are single passes over it, and the finite scans and the
+Clifford kernel read it directly.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .fields import parse_field
+from .fields import Scalar, parse_field
 
 
 class SpaceMismatch(ValueError):
@@ -47,7 +54,7 @@ class QuadraticSpace:
         self._mono_cache = {}
         self._kernel = None
         self._ext_cache = {}
-        self._gram = None
+        self._raw = None
         self._radical = None
 
     @property
@@ -76,113 +83,73 @@ class QuadraticSpace:
             i, j = j, i
         return self.pairs.get((i, j), self.field.zero)
 
-    def gram(self):
-        if self._gram is None:
-            self._gram = [[self.pair_value(i, j) for j in range(self.dim)]
-                          for i in range(self.dim)]
-        return self._gram
+    @property
+    def raw(self):
+        """The form as raw values (a RawForm), built on first use."""
+        if self._raw is None:
+            self._raw = RawForm(self)
+        return self._raw
 
     def q(self, coords):
         """q(v) = sum v_i^2 q(e_i) + sum_{i<j} v_i v_j (e_i, e_j)."""
-        acc = self.field.zero
-        nonzero = [(i, c) for i, c in enumerate(coords) if not c.is_zero()]
-        for i, c in nonzero:
-            acc = acc + c * c * self.qdiag[i]
-        for a in range(len(nonzero)):
-            i, ci = nonzero[a]
-            for b in range(a + 1, len(nonzero)):
-                j, cj = nonzero[b]
-                p = self.pairs.get((i, j))
-                if p is not None:
-                    acc = acc + ci * cj * p
-        return acc
+        return self.field.element(self.raw.q([c.value for c in coords]))
 
     def bilinear(self, u, v):
-        acc = self.field.zero
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if not vj.is_zero():
-                    acc = acc + ui * vj * self.pair_value(i, j)
-        return acc
+        y = [c.value for c in v]
+        return self.field.element(sum(
+            x * sum(g * b for g, b in zip(row, y))
+            for x, row in zip((c.value for c in u), self.raw.gram) if x))
 
     def radical_basis(self):
         """Basis of V-perp, the kernel of the Gram matrix."""
         if self._radical is None:
-            kern = linalg.kernel_basis(self.gram(), self.field, self.dim)
+            gram = [[Scalar(self.field, g) for g in row]
+                    for row in self.raw.gram]
+            kern = linalg.kernel_basis(gram, self.field, self.dim)
             self._radical = tuple(Vector(self, v) for v in kern)
         return self._radical
 
     def in_radical(self, coords):
-        gram = self.gram()
-        for row in gram:
-            acc = self.field.zero
-            for a, c in zip(row, coords):
-                acc = acc + a * c
-            if not acc.is_zero():
-                return False
-        return True
+        return self.raw.in_radical([c.value for c in coords])
 
     # -- extensions ---------------------------------------------------------
 
+    def _extension(self, key, qnew, pairs, labels):
+        """V with generators of q-values qnew appended, built once per key."""
+        if key not in self._ext_cache:
+            self._ext_cache[key] = QuadraticSpace(
+                self.field, self.qdiag + qnew, {**self.pairs, **pairs},
+                {**self.labels, **labels})
+        return self._ext_cache[key]
+
     def extend_sigma(self, c):
         """V_F^c = V + F sigma_c with q(sigma_c) = -c; sigma_1 is rho."""
-        c = self.field.element(c)
-        key = ("sigma", c)
-        if key not in self._ext_cache:
-            labels = dict(self.labels)
-            labels["sigma"] = self.dim
-            if c == self.field.one:
-                labels["rho"] = self.dim
-            ext = QuadraticSpace(self.field, self.qdiag + (-c,),
-                                 dict(self.pairs), labels)
-            self._ext_cache[key] = ext
-        return self._ext_cache[key]
+        c, n = self.field.element(c), self.dim
+        labels = {"sigma": n}
+        if c == self.field.one:
+            labels["rho"] = n
+        return self._extension(("sigma", c), (-c,), {}, labels)
 
     def extend_hyperbolic(self):
         """V_U = V + (hyperbolic plane e, f), with (e, f) = 1."""
-        if "hyp" not in self._ext_cache:
-            n = self.dim
-            pairs = dict(self.pairs)
-            pairs[(n, n + 1)] = self.field.one
-            labels = dict(self.labels)
-            labels.update(e=n, f=n + 1)
-            zero = self.field.zero
-            self._ext_cache["hyp"] = QuadraticSpace(
-                self.field, self.qdiag + (zero, zero), pairs, labels)
-        return self._ext_cache["hyp"]
+        n, zero = self.dim, self.field.zero
+        return self._extension("hyp", (zero, zero),
+                               {(n, n + 1): self.field.one},
+                               {"e": n, "f": n + 1})
 
     def extend_hyperbolic_rho(self):
         """V_{U,F} = V + (e, f) + F rho with q(rho) = -1."""
-        if "hyprho" not in self._ext_cache:
-            n = self.dim
-            pairs = dict(self.pairs)
-            pairs[(n, n + 1)] = self.field.one
-            labels = dict(self.labels)
-            labels.update(e=n, f=n + 1, rho=n + 2)
-            zero, mone = self.field.zero, -self.field.one
-            self._ext_cache["hyprho"] = QuadraticSpace(
-                self.field, self.qdiag + (zero, zero, mone), pairs, labels)
-        return self._ext_cache["hyprho"]
+        n, zero = self.dim, self.field.zero
+        return self._extension("hyprho", (zero, zero, -self.field.one),
+                               {(n, n + 1): self.field.one},
+                               {"e": n, "f": n + 1, "rho": n + 2})
 
     def is_extension_of(self, sub):
         """Does self contain sub as its leading coordinates, orthogonally?"""
         n = sub.dim
-        if self.field != sub.field or self.dim < n:
-            return False
-        if self.qdiag[:n] != sub.qdiag:
-            return False
-        for (i, j), v in self.pairs.items():
-            if i < n and j < n:
-                if sub.pairs.get((i, j)) != v:
-                    return False
-            elif i < n <= j:
-                return False
-        for (i, j), v in sub.pairs.items():
-            if self.pairs.get((i, j)) != v:
-                return False
-        return True
+        return (self.field == sub.field and self.qdiag[:n] == sub.qdiag
+                and sub.pairs == {k: v for k, v in self.pairs.items()
+                                  if k[0] < n})
 
     def __eq__(self, other):
         if self is other:
@@ -202,6 +169,39 @@ class QuadraticSpace:
     def __repr__(self):
         return (f"QuadraticSpace({self.field}, dim={self.dim}, "
                 f"qdiag={list(self.qdiag)})")
+
+
+class RawForm:
+    """The form of one space as raw values: p (None over Q), the q(e_i) as
+    qdiag, the nonzero pair values as (i, j, value) triples with i < j, and
+    the Gram rows.  q and in_radical take raw coordinates; over GF(p) every
+    value they return or compare is reduced mod p."""
+
+    __slots__ = ("p", "qdiag", "pairs", "gram", "_diag")
+
+    def __init__(self, space):
+        n = space.dim
+        self.p = space.field.modulus
+        self.qdiag = tuple(v.value for v in space.qdiag)
+        self.pairs = tuple((i, j, v.value)
+                           for (i, j), v in space.pairs.items())
+        self.gram = tuple(tuple(space.pair_value(i, j).value
+                                for j in range(n)) for i in range(n))
+        self._diag = tuple((i, v) for i, v in enumerate(self.qdiag) if v)
+
+    def q(self, x):
+        acc = 0
+        for i, v in self._diag:
+            acc += v * x[i] * x[i]
+        for i, j, v in self.pairs:
+            acc += v * x[i] * x[j]
+        return acc % self.p if self.p else acc
+
+    def in_radical(self, x):
+        """Is x orthogonal to every basis vector?"""
+        p, sums = self.p, (sum(g * a for g, a in zip(row, x))
+                           for row in self.gram)
+        return not any(s % p for s in sums) if p else not any(sums)
 
 
 class Vector:

@@ -17,7 +17,7 @@ from .clifford import (CliffordElement, SolveTooLarge, all_monomials,
 from .fields import PrimeField, Rationals, residue_tuples, sqrt_mod
 from .groups import (CMatrix2, CU_to_matrix, CUF_to_matrix, matrix_involution,
                      matrix_to_CU, matrix_to_CUF)
-from .halfspace import HalfSpace, point_to_json, residue_q
+from .halfspace import HalfSpace, point_to_json
 from .matrices import (NotVahlen, diagnose, is_vahlen, matrix_inverse,
                        matrix_to_json, pseudo_det, random_paravector,
                        random_vahlen, random_vector)
@@ -422,7 +422,7 @@ def boundary_parts(hs, limit=6):
         p = field.modulus
         if p ** n > BOUNDARY_BUDGET:
             return _solved_boundary_parts(hs, limit)
-        q, c = residue_q(hs.part_space), hs.c.value
+        q, c = hs.part_space.raw.q, hs.c.value
         hits = (tuple(map(field.element, t))
                 for t in residue_tuples(p, n) if q(t) == c)
     else:
@@ -441,20 +441,19 @@ def _solved_boundary_parts(hs, limit):
     With the rest fixed, q = q(e_j) x_j^2 + l x_j + q_0, which is linear
     when q(e_j) = 0 and needs a square root mod p otherwise.  Coordinates
     in which q is constant (radical basis vectors) stay 0."""
-    space, field, p = hs.part_space, hs.field, hs.field.modulus
-    gram = [[g.value for g in row] for row in space.gram()]
-    active = [i for i, row in enumerate(gram) if any(row)]
+    form, field, p = hs.part_space.raw, hs.field, hs.field.modulus
+    active = [i for i, row in enumerate(form.gram) if any(row)]
     if not active:  # q vanishes on every part
         parts = residue_tuples(p, hs.part_len) if hs.c.is_zero() else ()
         return [tuple(map(field.element, t)) for t in islice(parts, limit)]
     j, rest = active[-1], active[:-1]
-    q, c, qj = residue_q(space), hs.c.value, space.qdiag[j].value
+    q, c, qj, row = form.q, hs.c.value, form.qdiag[j], form.gram[j]
     found = []
     for values in islice(residue_tuples(p, len(rest)), BOUNDARY_BUDGET):
         x = [0] * hs.part_len
         for i, v in zip(rest, values):
             x[i] = v
-        lin = sum(gram[j][i] * x[i] for i in rest) % p
+        lin = sum(row[i] * x[i] for i in rest) % p
         const = (q(x) - c) % p
         if qj:
             r = sqrt_mod(lin * lin - 4 * qj * const, p)

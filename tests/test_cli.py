@@ -118,6 +118,10 @@ def test_verify_bad_field_and_flags(capsys):
     assert run(capsys, ["verify", "--c", "x"])[0] == 2
     # past the bound of the exact primality test
     assert run(capsys, ["verify", "--field", f"F{PRIME_BOUND + 2}"])[0] == 2
+    # a --field that contradicts the space JSON
+    code, out, err = run(capsys, ["verify", "--field", "F5", "--space",
+                                  '{"field": "Q", "qdiag": ["1", "-1"]}'])
+    assert code == 2 and not out and "conflicts" in err
 
 
 def test_enumerate(capsys):

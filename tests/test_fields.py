@@ -82,6 +82,13 @@ def test_parse_and_format():
     assert str(F5.parse("7")) == "2"
 
 
+def test_zero_and_one_built_once_per_field():
+    for field in (Q, F3, PrimeField(3)):
+        assert field.zero is field.zero and field.one is field.one
+        assert (field.zero.value, field.one.value) == (0, 1)
+    assert type(Q.zero.value) is Fraction
+
+
 def test_enumeration():
     assert [s.value for s in F3.elements()] == [0, 1, 2]
     assert [s.value for s in F5.elements()] == [0, 1, 2, 3, 4]

@@ -564,7 +564,8 @@ def test_census_applies_each_generator_once_per_point(monkeypatch):
 
 def test_kept_entries_follow_the_target_algebra():
     """A matrix over V also acts on the half-space of an extension of V;
-    the entries kept for one algebra are not reused in the other."""
+    the entries and the image kept for one algebra are not reused in the
+    other."""
     V = QuadraticSpace(Q, [1, -1])
     wide = HalfSpace(QuadraticSpace(Q, [1, -1, 2]), 1, "vector")
     narrow = HalfSpace(V, 1, "vector")
@@ -575,3 +576,5 @@ def test_kept_entries_follow_the_target_algebra():
               (narrow, narrow.regular_point([0, 1], -1))]
     for h, p in points:
         assert h.mobius_apply(m, p) == _mobius_reference(h, m, p)
+        # the image kept for the K-model path follows the algebra too
+        assert h.equivariance_check(m, p)

@@ -1,14 +1,20 @@
 """Quadratic spaces: q, the bilinear form, radicals, and extensions."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from vahlen.fields import PrimeField, Q
+from vahlen.halfspace import HalfSpace
 from vahlen.quadratic import (QuadraticSpace, SpaceMismatch,
                               is_orthogonal_fixing_radical, reflection_matrix,
                               space_from_json, space_to_json,
                               vector_from_json, vector_to_json)
 
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def test_q_values():
@@ -129,3 +135,105 @@ def test_space_json_roundtrip():
         space_from_json({"field": "F3", "dim": 2, "qdiag": ["1"]})
     with pytest.raises(ValueError, match="reserved"):
         space_from_json(dict(data, labels={"sigma": 1}))
+
+
+# -- the raw form against the Scalar loops it replaced ------------------------
+
+
+def reference_q(space, coords):
+    """q(v) = sum v_i^2 q(e_i) + sum_{i<j} v_i v_j (e_i, e_j), on Scalars."""
+    acc = space.field.zero
+    nonzero = [(i, c) for i, c in enumerate(coords) if not c.is_zero()]
+    for i, c in nonzero:
+        acc = acc + c * c * space.qdiag[i]
+    for a in range(len(nonzero)):
+        i, ci = nonzero[a]
+        for b in range(a + 1, len(nonzero)):
+            j, cj = nonzero[b]
+            p = space.pairs.get((i, j))
+            if p is not None:
+                acc = acc + ci * cj * p
+    return acc
+
+
+def reference_bilinear(space, u, v):
+    acc = space.field.zero
+    for i, ui in enumerate(u):
+        if ui.is_zero():
+            continue
+        for j, vj in enumerate(v):
+            if not vj.is_zero():
+                acc = acc + ui * vj * space.pair_value(i, j)
+    return acc
+
+
+def reference_in_radical(space, coords):
+    for i in range(space.dim):
+        acc = space.field.zero
+        for j, c in enumerate(coords):
+            acc = acc + space.pair_value(i, j) * c
+        if not acc.is_zero():
+            return False
+    return True
+
+
+def _assert_form_matches_reference(space, vectors, pairs):
+    raw = space.raw
+    for v in vectors:
+        values = [c.value for c in v]
+        ref = reference_q(space, v)
+        assert space.q(v) == ref and raw.q(values) == ref.value
+        assert type(space.q(v).value) is type(ref.value)
+        ref_rad = reference_in_radical(space, v)
+        assert space.in_radical(v) == ref_rad == raw.in_radical(values)
+    for u, v in pairs:
+        assert space.bilinear(u, v) == reference_bilinear(space, u, v)
+
+
+def _gf_spaces():
+    """Every GF(3) form of dim <= 2 and GF(5) form of dim <= 1, with the
+    part spaces of both kinds."""
+    for field, max_dim in ((F3, 2), (F5, 1)):
+        values = range(field.modulus)
+        for dim in range(max_dim + 1):
+            keys = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+            for qdiag in itertools.product(values, repeat=dim):
+                for pv in itertools.product(values, repeat=len(keys)):
+                    space = QuadraticSpace(field, qdiag, dict(zip(keys, pv)))
+                    for kind in ("vector", "paravector"):
+                        yield HalfSpace(space, 1, kind).part_space
+
+
+def test_raw_form_matches_scalar_reference_over_gf():
+    count = 0
+    for space in _gf_spaces():
+        field = space.field
+        vectors = list(itertools.product(list(field.elements()),
+                                         repeat=space.dim))
+        _assert_form_matches_reference(
+            space, vectors, itertools.product(vectors, repeat=2))
+        count += 1
+    assert count == 2 * (1 + 3 + 27) + 2 * (1 + 5)
+
+
+def test_raw_form_matches_scalar_reference_over_q():
+    """200 seeded vectors on the dim-4 space of the verify-q benchmark,
+    zero coordinates included, then 50 on each of its part spaces and on
+    its extension by sigma_0, which has a radical."""
+    space = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): "1/2"})
+    rng = random.Random(5)
+    pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3)]
+    spaces = [(space, 200), (space.extend_sigma(0), 50)] + [
+        (HalfSpace(space, 1, kind).part_space, 50)
+        for kind in ("vector", "paravector")]
+    radical_hits = 0
+    for sp, count in spaces:
+        vectors = [tuple(Q.element(rng.choice(pool)) for _ in range(sp.dim))
+                   for _ in range(count)]
+        vectors += [tuple(c * Q.element(Fraction(-2, 3)) for c in r.coords)
+                    for r in sp.radical_basis()]
+        radical_hits += sum(reference_in_radical(sp, v) for v in vectors
+                            if any(v))
+        _assert_form_matches_reference(
+            sp, vectors, zip(vectors, vectors[1:] + vectors[:1]))
+    assert radical_hits
