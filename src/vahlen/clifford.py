@@ -24,6 +24,22 @@ when t is in s, or else e_t is inserted with sign (-1)^(#s > t).  A word is
 a fold of that step, and the transpose of e_s is its reversed word applied
 to 1.  Each step multiplies by L, which keeps its constants integral; a word
 of k generators is padded by L**(dim - k), so every constant has scale D.
+
+A space built directly takes every constant from that fold.  An extension
+V + B from QuadraticSpace._extension appends a block B of 1 to 3 generators
+orthogonally after V's, so C(V + B) is the graded tensor product of C(V) and
+C(B), and a constant that involves V is derived from the two factors.  Split
+s = s_V s_B and t = t_V t_B at dim V.  Block generators anticommute with
+V's, so e_s e_t = (-1)^(|s_B| |t_V|) (e_{s_V} e_{t_V}) (e_{s_B} e_{t_B}),
+and the transpose of e_s is (-1)^(|s_B| |s_V|) e_{s_V}^T e_{s_B}^T, since
+products keep the parity of the degree.  The V factor comes from V's own
+cache, so every extension of V shares it (and an extension of an extension
+recurses); the block factor is folded in the extension, which touches only
+the 64 products and 8 transposes of block monomials.  Each V monomial
+precedes each block monomial, so v + g is canonical.  V's constants have
+scale L_V**dim_V; a block constant is a fold of at most |B| steps padded by
+at least L**dim_V, and L_V divides L, so dividing it by L_V**dim_V is exact
+and the product of the two factors has scale D.
 """
 
 from __future__ import annotations
@@ -117,14 +133,42 @@ def _mono_terms(space, s, t):
     key = (s, t)
     hit = space._mono_cache.get(key)
     if hit is None:
-        kern = _kernel(space)
-        terms, word = ({(): 1}, s[::-1]) if t is None else ({s: 1}, t)
-        for g in word:
-            terms = _step(kern, terms, g)
-        pad = kern[1] ** (space.dim - len(word))  # L**(dim - k)
-        hit = tuple((u, n * pad) for u, n in terms.items())
+        base = space._base
+        nv = 0 if base is None else len(base.qdiag)
+        if (s and s[0] < nv) or (t and t[0] < nv):
+            hit = _block_terms(space, base, nv, s, t)
+        else:
+            kern = _kernel(space)
+            terms, word = ({(): 1}, s[::-1]) if t is None else ({s: 1}, t)
+            for g in word:
+                terms = _step(kern, terms, g)
+            pad = kern[1] ** (space.dim - len(word))  # L**(dim - k)
+            hit = tuple((u, n * pad) for u, n in terms.items())
         space._mono_cache[key] = hit
     return hit
+
+
+def _block_terms(space, base, nv, s, t):
+    """The constants of e_s e_t (or of the transpose of e_s) in an
+    orthogonal extension V + B of base = V, with nv = dim V: V's constants
+    times those of the block B alone, as the module docstring derives."""
+    i = bisect_left(s, nv)
+    if t is None:
+        j, tv, tb = i, None, None
+    else:
+        j = bisect_left(t, nv)
+        tv, tb = t[:j], t[j:]
+    vs = _mono_terms(base, s[:i], tv)
+    bs = _mono_terms(space, s[i:], tb)
+    p = _kernel(space)[0]
+    dv = _kernel(base)[2]  # L_V**nv divides every block constant
+    if (len(s) - i) * j % 2:
+        dv = -dv
+    if dv != 1:
+        bs = [(g, b // dv) for g, b in bs]
+    if p is None:
+        return tuple([(v + g, a * b) for v, a in vs for g, b in bs])
+    return tuple([(v + g, a * b % p) for v, a in vs for g, b in bs])
 
 
 def _raw(x, p):
@@ -582,10 +626,17 @@ def element_to_json(x):
 
 
 def element_from_json(space, data):
+    if not isinstance(data, list):
+        raise ValueError("element must be a JSON list of terms")
     coeffs = {}
     zero = space.field.zero
     for term in data:
-        s = tuple(int(i) for i in term["indices"])
+        if not (isinstance(term, dict) and "coeff" in term
+                and isinstance(term.get("indices"), list)
+                and all(type(i) is int for i in term["indices"])):
+            raise ValueError(f"term {term!r} is not "
+                             '{"indices": [int, ...], "coeff": ...}')
+        s = tuple(term["indices"])
         c = space.field.parse(str(term["coeff"]))
         coeffs[s] = coeffs.get(s, zero) + c
     out = CliffordElement(space, coeffs)

@@ -638,15 +638,19 @@ def point_to_json(hs, p):
 
 
 def point_from_json(hs, data):
+    if not isinstance(data, dict):
+        raise ValueError("point must be a JSON object")
     if data.get("model", hs.kind) != hs.kind:
         raise ValueError("point model does not match the half-space kind")
     if "c" in data and hs.field.parse(str(data["c"])) != hs.c:
         raise ValueError("point c does not match the half-space")
+    kind = data.get("kind")
+    if kind not in ("regular", "boundary"):
+        raise ValueError(f"unknown point kind {kind!r}")
+    key, height = ("v", "t") if kind == "regular" else ("u", "b")
+    if not isinstance(data.get(key), list):
+        raise ValueError(f"point {key!r} must be a list of coordinates")
     field = hs.field
-    if data["kind"] == "regular":
-        part = [field.parse(str(x)) for x in data["v"]]
-        return hs.regular_point(part, field.parse(str(data["t"])))
-    if data["kind"] == "boundary":
-        part = [field.parse(str(x)) for x in data["u"]]
-        return hs.boundary_point(part, field.parse(str(data["b"])))
-    raise ValueError(f"unknown point kind {data.get('kind')!r}")
+    part = [field.parse(str(x)) for x in data[key]]
+    build = hs.regular_point if kind == "regular" else hs.boundary_point
+    return build(part, field.parse(str(data[height])))

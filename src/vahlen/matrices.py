@@ -354,8 +354,11 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(space, data):
-    return CMatrix2(*(element_from_json(space, data[key])
-                      for key in ("a", "b", "c", "d")))
+    keys = ("a", "b", "c", "d")
+    if not isinstance(data, dict) or sorted(data) != list(keys):
+        raise ValueError("matrix must be a JSON object with exactly the "
+                         "entries a, b, c, d")
+    return CMatrix2(*(element_from_json(space, data[key]) for key in keys))
 
 
 # -- exhaustive equivalence check ------------------------------------------------

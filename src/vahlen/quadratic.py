@@ -56,6 +56,9 @@ class QuadraticSpace:
         self._ext_cache = {}
         self._raw = None
         self._radical = None
+        # the space this one extends orthogonally, set by _extension; the
+        # Clifford kernel derives this space's constants from its cache
+        self._base = None
 
     @property
     def dim(self):
@@ -116,11 +119,13 @@ class QuadraticSpace:
 
     def _extension(self, key, qnew, pairs, labels):
         """V with generators of q-values qnew appended, built once per key."""
-        if key not in self._ext_cache:
-            self._ext_cache[key] = QuadraticSpace(
+        ext = self._ext_cache.get(key)
+        if ext is None:
+            ext = self._ext_cache[key] = QuadraticSpace(
                 self.field, self.qdiag + qnew, {**self.pairs, **pairs},
                 {**self.labels, **labels})
-        return self._ext_cache[key]
+            ext._base = self
+        return ext
 
     def extend_sigma(self, c):
         """V_F^c = V + F sigma_c with q(sigma_c) = -c; sigma_1 is rho."""
@@ -346,6 +351,10 @@ def space_from_json(data):
     qdiag = [field.parse(str(v)) for v in qdiag]
     if "dim" in data and data["dim"] != len(qdiag):
         raise ValueError("dim does not match qdiag length")
+    for name, index in labels.items():
+        if type(index) is not int or not 0 <= index < len(qdiag):
+            raise ValueError(f"label {name!r} names {index!r}, not a basis "
+                             f"index in range({len(qdiag)})")
     pairs = {}
     for entry in raw_pairs:
         if not (isinstance(entry, list) and len(entry) == 3):

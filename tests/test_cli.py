@@ -111,6 +111,13 @@ def test_space_reserved_labels(capsys):
         assert "reserved" in _bad_space(capsys, space)
 
 
+def test_space_labels_out_of_range(capsys):
+    for index in (7, -1, "0", 0.0):
+        space = json.dumps({"field": "Q", "qdiag": ["1"],
+                            "labels": {"a": index}})
+        assert "basis index" in _bad_space(capsys, space)
+
+
 def test_verify_bad_field_and_flags(capsys):
     assert run(capsys, ["verify", "--field", "F9"])[0] == 2
     assert run(capsys, ["verify", "--field", "F2"])[0] == 2
@@ -179,6 +186,36 @@ def test_act_non_vahlen_names_clause(capsys):
                                 SIGMA_POINT])
     assert code == 1
     assert "conj(alpha)*beta not in V" in err
+
+
+def _bad_act(capsys, matrix, point):
+    code, out, err = run(capsys, ["act", "--matrix", matrix,
+                                  "--point", point])
+    assert code == 2 and not out
+    assert err.startswith("error: bad matrix or point:")
+    return err
+
+
+def test_act_matrix_not_object(capsys):
+    assert "a, b, c, d" in _bad_act(capsys, "[1,2]", "{}")
+
+
+def test_act_matrix_entry_not_list(capsys):
+    assert "a, b, c, d" in _bad_act(capsys, '{"a":1}', SIGMA_POINT)
+    entry = json.dumps({"a": 1, "b": [], "c": [], "d": []})
+    assert "list of terms" in _bad_act(capsys, entry, SIGMA_POINT)
+    term = json.dumps({"a": [{"indices": [[0]], "coeff": "1"}],
+                       "b": [], "c": [], "d": []})
+    assert "is not" in _bad_act(capsys, term, SIGMA_POINT)
+
+
+def test_act_point_not_object(capsys):
+    assert "JSON object" in _bad_act(capsys, TRANSLATION, "[1]")
+
+
+def test_act_point_part_not_list(capsys):
+    point = '{"kind":"regular","v":5,"t":"1"}'
+    assert "list of coordinates" in _bad_act(capsys, TRANSLATION, point)
 
 
 def test_orbit(capsys):

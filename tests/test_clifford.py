@@ -480,6 +480,82 @@ def test_monomial_cache_is_lazy_and_shared():
     assert set(V._mono_cache) == {((0, 1), None), ((0, 1), (0, 1))}
 
 
+# -- constants of an extension derived from its blocks ---------------------------
+
+# the dim-4 space of the verify-q benchmark: degenerate, non-orthogonal
+VERIFY_Q = ([1, -1, 2, 0], {(0, 1): 1, (2, 3): Fraction(1, 2)})
+
+
+def _extensions(V, cs):
+    return [V.extend_sigma(c) for c in cs] + [V.extend_hyperbolic(),
+                                              V.extend_hyperbolic_rho()]
+
+
+def _assert_derived_match_fold(ext):
+    """Every constant of ext, derived from its base and its block, against
+    the same space built plainly, whose constants all come from the fold."""
+    plain = QuadraticSpace(ext.field, ext.qdiag, ext.pairs, ext.labels)
+    assert ext._base is not None and plain._base is None
+    monos = all_monomials(ext)
+    for s in monos:
+        assert dict(clifford._mono_terms(ext, s, None)) == \
+            dict(clifford._mono_terms(plain, s, None)), s
+        for t in monos:
+            assert dict(clifford._mono_terms(ext, s, t)) == \
+                dict(clifford._mono_terms(plain, s, t)), (s, t)
+
+
+def test_derived_constants_match_fold_every_gf3_form():
+    """V_F^c for every c, V_U and V_UF of every GF(3) form of dim <= 2."""
+    for dim in range(3):
+        slots = list(itertools.combinations(range(dim), 2))
+        for qdiag in itertools.product(range(3), repeat=dim):
+            for values in itertools.product(range(3), repeat=len(slots)):
+                V = QuadraticSpace(F3, list(qdiag), dict(zip(slots, values)))
+                for ext in _extensions(V, range(3)):
+                    _assert_derived_match_fold(ext)
+
+
+def test_derived_constants_match_fold_over_q():
+    """The verify-q space; c = 1/3 gives V_F^c a scale L of 3 where V's is
+    2, so the division by V's scale must stay exact."""
+    V = QuadraticSpace(Q, *VERIFY_Q)
+    for ext in _extensions(V, (1, 0, -1, Fraction(1, 3))):
+        _assert_derived_match_fold(ext)
+    assert clifford._kernel(V)[1] == 2
+    assert clifford._kernel(V.extend_sigma(Fraction(1, 3)))[1] == 6
+
+
+def test_extensions_share_the_base_cache(monkeypatch):
+    """Products in C(V_U) and C(V_UF) take V's constants from V's cache,
+    folded once for both; each extension folds only its block's."""
+    V = QuadraticSpace(Q, *VERIFY_Q)
+    n = V.dim
+    steps = []
+    step = clifford._step
+    monkeypatch.setattr(clifford, "_step",
+                        lambda kern, terms, t: steps.append((kern, t))
+                        or step(kern, terms, t))
+    v_steps = []
+    for ext in (V.extend_hyperbolic(), V.extend_hyperbolic_rho()):
+        x = CliffordElement(ext, {s: Q.one for s in all_monomials(ext)})
+        x * x
+        x.transpose()
+        block_keys = 0
+        for s, t in ext._mono_cache:
+            if all(k >= n for k in s + (t or ())):
+                block_keys += 1
+                continue
+            v_key = (tuple(k for k in s if k < n),
+                     None if t is None else tuple(k for k in t if k < n))
+            assert v_key in V._mono_cache
+        assert block_keys == 4 ** (ext.dim - n) + 2 ** (ext.dim - n) <= 72
+        ext_steps = [t for kern, t in steps if kern is ext._kernel]
+        assert ext_steps and all(t >= n for t in ext_steps)
+        v_steps.append(sum(kern is V._kernel for kern, _ in steps))
+    assert v_steps[0] == v_steps[1] > 0
+
+
 # -- the size guard of the solving inverse --------------------------------------
 
 
