@@ -155,7 +155,7 @@ def cmd_orbit(config, group):
     hs = HalfSpace(config.space, config.c, config.kind)
     try:
         report = hs.orbit_census(group)
-    except TooLarge as exc:
+    except (InfiniteField, TooLarge) as exc:
         raise ConfigError(str(exc)) from exc
     if config.as_json:
         _emit(report, True)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .fields import Scalar
+from .fields import InfiniteField, Scalar, residue_tuples
 from .quadratic import NotASuperspace, SpaceMismatch, Vector
 
 
@@ -374,14 +374,6 @@ class CliffordElement:
         if kind == "scalar":
             return CliffordElement(
                 self.space, {s: c for s, c in self.coeffs.items() if not s})
-        if kind == "vector":
-            return CliffordElement(
-                self.space,
-                {s: c for s, c in self.coeffs.items() if len(s) == 1})
-        if kind == "paravector":
-            return CliffordElement(
-                self.space,
-                {s: c for s, c in self.coeffs.items() if len(s) <= 1})
         if kind == "even":
             return CliffordElement(
                 self.space,
@@ -523,19 +515,16 @@ def all_monomials(space):
 
 
 def enumerate_elements(space):
-    """All elements of C(space) over a finite field, deterministic order."""
+    """All elements of C(space) over a finite field: their coefficient
+    tuples over the graded monomials in numeral order, the first monomial
+    slowest."""
+    field = space.field
+    if field.modulus is None:
+        raise InfiniteField("Q cannot be enumerated")
     monos = _all_monomials(space.dim)
-    elems = [CliffordElement.zero(space)]
-    for s in monos:
-        new = []
-        for x in elems:
-            for c in space.field.elements():
-                if c.is_zero():
-                    new.append(x)
-                else:
-                    new.append(x + CliffordElement.monomial(space, s, c))
-        elems = new
-    return elems
+    return [CliffordElement._of(space, {s: Scalar(field, v)
+                                        for s, v in zip(monos, t) if v})
+            for t in residue_tuples(field.modulus, len(monos))]
 
 
 # -- paravector quadratic structure ------------------------------------------

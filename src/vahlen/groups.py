@@ -99,18 +99,27 @@ def matrix_involution(m, kind):
 # -- group membership ---------------------------------------------------------
 
 
+def part_monomials(dim, kind):
+    """The part layout: the monomials of C(V) spanning V, (0,) ... (dim-1,),
+    for kind "vector", preceded by the scalar () for kind "paravector"."""
+    vectors = tuple((i,) for i in range(dim))
+    return ((),) + vectors if kind == "paravector" else vectors
+
+
 def probe_elements(space, kind):
-    """The basis of V, preceded by 1 for kind "paravector".  Conjugation and
+    """The basis of the part space in part_monomials order.  Conjugation and
     landing conditions are linear in the probe, so these decide them."""
     key = ("probes", kind)
     probes = space._ext_cache.get(key)
     if probes is None:
-        probes = tuple(CliffordElement.monomial(space, (i,))
-                       for i in range(space.dim))
-        if kind == "paravector":
-            probes = (CliffordElement.one(space),) + probes
-        space._ext_cache[key] = probes
+        probes = space._ext_cache[key] = tuple(
+            CliffordElement.monomial(space, s)
+            for s in part_monomials(space.dim, kind))
     return probes
+
+
+# the part space of each kind, as messages name it
+PART_SPACE = {"vector": "V", "paravector": "F+V"}
 
 
 def lands(x, kind):
@@ -154,38 +163,32 @@ def in_group(x, tag):
     return True
 
 
-def pi(x):
-    """The orthogonal map v -> x v grade(x)^-1 as a matrix on V."""
+def _conjugation_matrix(x, kind, error):
+    """The map t -> x t grade(x)^-1 on the part space of `kind`, as a
+    matrix in the basis part_monomials lays out."""
     space = x.space
     try:
         ginv = x.inverse().grade_involution()
     except NotInvertible as exc:
-        raise NotInCliffordGroup(str(exc)) from exc
+        raise error(str(exc)) from exc
+    monos, zero = part_monomials(space.dim, kind), space.field.zero
     cols = []
-    for v in probe_elements(space, "vector"):
-        img = x * v * ginv
-        if not img.is_vector():
-            raise NotInCliffordGroup(f"conjugation leaves V: {x!r}")
-        cols.append(img.vector_coords().coords)
-    return [[cols[j][i] for j in range(space.dim)] for i in range(space.dim)]
+    for t in probe_elements(space, kind):
+        img = x * t * ginv
+        if not lands(img, kind):
+            raise error(f"conjugation leaves {PART_SPACE[kind]}: {x!r}")
+        cols.append([img.coeffs.get(s, zero) for s in monos])
+    return [list(row) for row in zip(*cols)]
+
+
+def pi(x):
+    """The orthogonal map v -> x v grade(x)^-1 as a matrix on V."""
+    return _conjugation_matrix(x, "vector", NotInCliffordGroup)
 
 
 def pi_tilde(x):
     """The special-orthogonal map on F + V in the basis (1, e_1..e_n)."""
-    space = x.space
-    try:
-        ginv = x.inverse().grade_involution()
-    except NotInvertible as exc:
-        raise NotInParavectorGroup(str(exc)) from exc
-    cols = []
-    for t in probe_elements(space, "paravector"):
-        img = x * t * ginv
-        if not img.is_paravector():
-            raise NotInParavectorGroup(f"conjugation leaves F+V: {x!r}")
-        a, v = img.paravector_parts()
-        cols.append((a,) + v.coords)
-    n = space.dim + 1
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return _conjugation_matrix(x, "paravector", NotInParavectorGroup)
 
 
 def r1_matrix(space):

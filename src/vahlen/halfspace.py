@@ -7,6 +7,12 @@ a pair (u, b) with q(u) = c standing for (infinity u)_b + infinity sigma_c.
 Boundary arithmetic never touches a symbolic infinity: the starred linear
 coefficients are computed from their closed forms.
 
+The part layout is groups.part_monomials: slot k of a part is the
+coefficient of one monomial of C(V), e_i for the vector model and 1, e_0,
+e_1, ... for the paravector model.  Every map between parts, elements of
+C(V) or C(V_F^c) and coordinates of V_U or V_{U,F} loops over it; V_{U,F}
+holds iota(a + v) = v - a rho, so the scalar slot goes to rho, negated.
+
 The parts of every Moebius formula that depend on the matrix alone are
 built once per matrix, on the first point that needs them, and kept in the
 matrix's memo: the pseudo-determinant under ("det", kind); N(c), N(a),
@@ -28,11 +34,18 @@ form of the space; only the hits become Scalars.
 from __future__ import annotations
 
 from .clifford import CliffordElement
-from .fields import PrimeField, Scalar, residue_tuples
-from .groups import lands, matrix_to_CU, matrix_to_CUF
+from .fields import InfiniteField, PrimeField, Scalar, residue_tuples
+from .groups import (lands, matrix_to_CU, matrix_to_CUF, part_monomials,
+                     probe_elements)
 from .matrices import (CMatrix2, NotVahlen, TooLarge, dilation, is_vahlen,
                        pseudo_det, translation, weyl)
 from .quadratic import QuadraticSpace
+
+
+# the _census_work an orbit census may reach: the GF(11) dim-2 paravector
+# census (_census_work 1.23e6) takes 40 s and the GF(7) dim-3 one (0.91e6)
+# 36 s (2-vCPU Xeon VM, Python 3.11)
+MAX_CENSUS_WORK = 2 * 10**6
 
 
 class InvariantViolation(ValueError):
@@ -81,13 +94,18 @@ class HalfSpace:
         self.kind = kind
         self.sigma_space = space.extend_sigma(self.c)
         self.sigma_idx = self.sigma_space.labels["sigma"]
-        if kind == "vector":
-            self.uspace = space.extend_hyperbolic()
-        else:
-            self.uspace = space.extend_hyperbolic_rho()
+        self.uspace = (space.extend_hyperbolic() if kind == "vector"
+                       else space.extend_hyperbolic_rho())
         self.e_idx = self.uspace.labels["e"]
         self.f_idx = self.uspace.labels["f"]
-        self.part_len = space.dim + (1 if kind == "paravector" else 0)
+        # slot -> monomial of C(V), monomial -> slot, and slot ->
+        # (coordinate of V_U or V_{U,F}, negated?): the scalar slot is -rho
+        self._monos = part_monomials(space.dim, kind)
+        self._slot = {s: k for k, s in enumerate(self._monos)}
+        self._u_idx = tuple((s[0], False) if s
+                            else (self.uspace.labels["rho"], True)
+                            for s in self._monos)
+        self.part_len = len(self._monos)
         self._part_space = None
 
     # -- parts: V-coordinates, or (scalar, V-coordinates) for paravectors ----
@@ -103,10 +121,9 @@ class HalfSpace:
 
     def part_element(self, part):
         """The part as an element of C(V)."""
-        if self.kind == "vector":
-            return CliffordElement.from_vector(self.space.vector(part))
-        return CliffordElement.paravector(self.space, part[0],
-                                          self.space.vector(part[1:]))
+        element = self.field.element
+        return CliffordElement(self.space, {
+            s: element(x) for s, x in zip(self._monos, part, strict=True)})
 
     @property
     def part_space(self):
@@ -133,11 +150,14 @@ class HalfSpace:
         return self.part_space.in_radical(part)
 
     def _element_to_part(self, x):
-        """Inverse of part_element; x must be a vector resp. paravector."""
-        if self.kind == "vector":
-            return x.vector_coords().coords
-        a, v = x.paravector_parts()
-        return (a,) + v.coords
+        """Inverse of part_element; an x outside V resp. F+V (a starred
+        numerator with a stray term) is an invariant failure."""
+        if not lands(x, self.kind):
+            raise InvariantViolation("starred numerator left the part space")
+        part = [self.field.zero] * self.part_len
+        for s, coeff in x.coeffs.items():
+            part[self._slot[s]] = coeff
+        return tuple(part)
 
     # -- points ----------------------------------------------------------------
 
@@ -173,11 +193,7 @@ class HalfSpace:
         """x + t sigma_c as an element of C(V_F^c); regular points only."""
         if p.boundary:
             raise InvariantViolation("boundary points have no finite lift")
-        if self.kind == "vector":
-            coeffs = {(i,): x for i, x in enumerate(p.part)}
-        else:
-            coeffs = {(): p.part[0]}
-            coeffs.update(((i,), x) for i, x in enumerate(p.part[1:]))
+        coeffs = dict(zip(self._monos, p.part))
         coeffs[(self.sigma_idx,)] = p.height
         return CliffordElement(self.sigma_space, coeffs)
 
@@ -187,13 +203,12 @@ class HalfSpace:
         zero = self.field.zero
         part = [zero] * self.part_len
         sigma_coeff = zero
+        sigma, slot = (self.sigma_idx,), self._slot
         for s, coeff in x.coeffs.items():
-            if len(s) == 1 and s[0] == self.sigma_idx:
+            if s in slot:
+                part[slot[s]] = coeff
+            elif s == sigma:
                 sigma_coeff = coeff
-            elif len(s) == 1 and s[0] < self.space.dim:
-                part[s[0] + (1 if self.kind == "paravector" else 0)] = coeff
-            elif not s and self.kind == "paravector":
-                part[0] = coeff
             else:
                 raise InvariantViolation(
                     f"Moebius numerator has an illegal term {s}: {x!r}")
@@ -278,8 +293,6 @@ class HalfSpace:
             return self.boundary_point([x * scale for x in part],
                                        num_norm * scale)
         star, den_star, num_norm_star, det = self._boundary_data(m, p)
-        if not lands(star, self.kind):
-            raise InvariantViolation("starred numerator left the part space")
         part = self._element_to_part(star)
         if not den_star.is_zero():
             inv = den_star.inverse()
@@ -293,15 +306,9 @@ class HalfSpace:
     def _part_coords_in_u(self, part):
         """Coordinates of the part inside V_U (vector) or of iota(part)
         inside V_{U,F} (paravector)."""
-        zero = self.field.zero
-        coords = [zero] * self.uspace.dim
-        if self.kind == "vector":
-            for i, x in enumerate(part):
-                coords[i] = x
-        else:
-            for i, x in enumerate(part[1:]):
-                coords[i] = x
-            coords[self.uspace.labels["rho"]] = -part[0]
+        coords = [self.field.zero] * self.uspace.dim
+        for (j, negate), x in zip(self._u_idx, part):
+            coords[j] = -x if negate else x
         return coords
 
     def to_K(self, p):
@@ -335,16 +342,11 @@ class HalfSpace:
         return self.regular_point(part, t)
 
     def _u_coords_to_part(self, coords, boundary):
-        zero = self.field.zero
-        b = coords[self.e_idx]
         if boundary and not coords[self.f_idx].is_zero():
             raise InvariantViolation("boundary K-vector must be orthogonal to e")
-        if self.kind == "vector":
-            part = tuple(coords[:self.space.dim])
-        else:
-            rho = self.uspace.labels["rho"]
-            part = (-coords[rho],) + tuple(coords[:self.space.dim])
-        return part, b
+        part = tuple(-coords[j] if negate else coords[j]
+                     for j, negate in self._u_idx)
+        return part, coords[self.e_idx]
 
     def _eta(self, m):
         """The image of m in C(V_U) resp. C(V_{U,F})."""
@@ -396,11 +398,15 @@ class HalfSpace:
 
     # -- finite enumeration and the orbit census ------------------------------------
 
+    def _modulus(self):
+        """p for GF(p); every enumeration is refused over Q."""
+        if not isinstance(self.field, PrimeField):
+            raise InfiniteField("point enumeration needs a finite field")
+        return self.field.modulus
+
     def _residues(self, n):
         """Every n-tuple of residues in numeral order (GF(p) only)."""
-        if not isinstance(self.field, PrimeField):
-            raise TooLarge("point enumeration needs a finite field")
-        return residue_tuples(self.field.modulus, n)
+        return residue_tuples(self._modulus(), n)
 
     def _parts(self):
         """(residues, part) for every part, in numeral order."""
@@ -412,11 +418,11 @@ class HalfSpace:
         return [part for _, part in self._parts()]
 
     def enumerate_points(self, max_points=10**6):
-        parts = self._parts()  # TooLarge over Q, before the modulus is read
+        parts = self._parts()  # InfiniteField over Q, before p is read
         p = self.field.modulus
-        bound = p ** self.part_len * p
+        bound = p ** self.part_len * (2 * p - 1)
         if bound > max_points:
-            raise TooLarge(f"about {bound} points exceed {max_points}")
+            raise TooLarge(f"up to {bound} points exceed {max_points}")
         form, c = self.part_space.raw, self.c.value
         heights = list(self.field.elements())
         points = []
@@ -437,22 +443,13 @@ class HalfSpace:
         return [space.vector(t) for t in self._residues(space.dim)
                 if form.q(t) == c and not form.in_radical(t)]
 
-    def _basis_parts(self):
-        parts = []
-        one, zero = self.field.one, self.field.zero
-        for i in range(self.part_len):
-            coords = [zero] * self.part_len
-            coords[i] = one
-            parts.append(tuple(coords))
-        return parts
-
     def census_generators(self, group):
         """Generators used by the orbit BFS: basis translations, the Weyl
         matrix, diag(1/d, d), norm-realizing diagonals, and (full group only)
         all dilations."""
         space = self.space
-        gens = [translation(space, self.kind, self.part_element(part))
-                for part in self._basis_parts()]
+        gens = [translation(space, self.kind, xi)
+                for xi in probe_elements(space, self.kind)]
         gens.append(weyl(space))
         nonzero = [s for s in self.field.elements() if not s.is_zero()]
         for d in nonzero:
@@ -512,12 +509,24 @@ class HalfSpace:
                         return m
         return None
 
-    def orbit_census(self, group="special", max_points=10**6):
+    def _census_work(self):
+        """A bound on the Moebius applications of one census sweep: points
+        <= p^n (2p - 1), for n = part_len, times generators <= n + 1 +
+        4(p - 1) (translations, Weyl, diagonals, norm diagonals, dilations,
+        witnesses).  The K-set scan of p^(n + 2) vectors is below it."""
+        p, n = self._modulus(), self.part_len
+        return p ** n * (2 * p - 1) * (n + 1 + 4 * (p - 1))
+
+    def orbit_census(self, group="special"):
         """Materialize the whole space, close orbits under the generators,
         and compare against the predicted transitivity/coset structure."""
         if group not in ("special", "full"):
             raise ValueError("group must be 'special' or 'full'")
-        points = self.enumerate_points(max_points)
+        work = self._census_work()
+        if work > MAX_CENSUS_WORK:
+            raise TooLarge(f"a census of up to {work} Moebius applications "
+                           f"exceeds the guard {MAX_CENSUS_WORK}")
+        points = self.enumerate_points()
         point_set = set(points)
         gens = self.census_generators(group)
         base = self.base_point()

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .clifford import (CliffordElement, element_from_json, element_to_json,
                        enumerate_elements)
 from .fields import InfiniteField, PrimeField, Rationals
-from .groups import (CMatrix2, in_group, lands, matrix_to_CU, matrix_to_CUF,
-                     probe_elements)
+from .groups import (PART_SPACE, CMatrix2, in_group, lands, matrix_to_CU,
+                     matrix_to_CUF, probe_elements)
 from .quadratic import Vector
 
 KINDS = ("vector", "paravector")
@@ -156,11 +156,10 @@ def _condition3_failure(m, ctx):
             return f"entry {name} not in T"
     if not _det_ok(m, ctx):
         return "pseudo-determinant not a nonzero scalar"
-    target = "V" if ctx.kind == "vector" else "F+V"
     if not ctx.lands_mul(ctx.cj(m.a), m.b):
-        return f"conj(alpha)*beta not in {target}"
+        return f"conj(alpha)*beta not in {PART_SPACE[ctx.kind]}"
     if not ctx.lands_mul(ctx.cj(m.d), m.c):
-        return f"conj(delta)*gamma not in {target}"
+        return f"conj(delta)*gamma not in {PART_SPACE[ctx.kind]}"
     return None
 
 
@@ -224,13 +223,12 @@ def matrix_inverse(m, kind):
 
 
 def _as_translation_element(space, kind, xi):
+    _check_kind(kind)
     if isinstance(xi, Vector):
         xi = CliffordElement.from_vector(xi)
-    if kind == "vector":
-        if not xi.is_vector():
-            raise ValueError("translation argument must lie in V")
-    elif not xi.is_paravector():
-        raise ValueError("translation argument must lie in F+V")
+    if not lands(xi, kind):
+        raise ValueError("translation argument must lie in "
+                         + PART_SPACE[kind])
     return xi
 
 

@@ -349,8 +349,9 @@ def space_from_json(data):
                          "generators of the extensions")
     field = parse_field(str(data["field"]))
     qdiag = [field.parse(str(v)) for v in qdiag]
-    if "dim" in data and data["dim"] != len(qdiag):
-        raise ValueError("dim does not match qdiag length")
+    dim = data.get("dim", len(qdiag))
+    if type(dim) is not int or dim != len(qdiag):
+        raise ValueError(f"dim {dim!r} is not the qdiag length {len(qdiag)}")
     for name, index in labels.items():
         if type(index) is not int or not 0 <= index < len(qdiag):
             raise ValueError(f"label {name!r} names {index!r}, not a basis "
@@ -360,7 +361,10 @@ def space_from_json(data):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValueError(f"pair {entry!r} is not [i, j, value]")
         i, j, v = entry
-        pairs[(int(i), int(j))] = field.parse(str(v))
+        if type(i) is not int or type(j) is not int or (i, j) in pairs:
+            raise ValueError(f"pair {entry!r}: indices must be integers, "
+                             "and each pair is given once")
+        pairs[(i, j)] = field.parse(str(v))
     return QuadraticSpace(field, qdiag, pairs, labels)
 
 

@@ -16,7 +16,7 @@ from .clifford import (CliffordElement, SolveTooLarge, all_monomials,
                        paravector_q, rho_map, upsilon_map)
 from .fields import PrimeField, Rationals, residue_tuples, sqrt_mod
 from .groups import (CMatrix2, CU_to_matrix, CUF_to_matrix, matrix_involution,
-                     matrix_to_CU, matrix_to_CUF)
+                     matrix_to_CU, matrix_to_CUF, probe_elements)
 from .halfspace import HalfSpace, point_to_json
 from .matrices import (NotVahlen, diagnose, is_vahlen, matrix_inverse,
                        matrix_to_json, pseudo_det, random_paravector,
@@ -375,14 +375,10 @@ def vahlen_suite(config):
         return None
 
     def scalar_is_minus_pairing(_):
-        tests = [CliffordElement.monomial(space, (i,))
-                 for i in range(space.dim)]
-        if kind == "paravector":
-            tests = [CliffordElement.one(space)] + tests
         for _ in range(samples):
             m = sample()
             a, b, c, d = m.entries()
-            for t in tests:
+            for t in probe_elements(space, kind):
                 lhs = a * t * b.conj() + b * t.conj() * a.conj()
                 vec = a.conj() * b
                 if kind == "vector":

@@ -118,6 +118,34 @@ def test_space_labels_out_of_range(capsys):
         assert "basis index" in _bad_space(capsys, space)
 
 
+def test_space_pair_index_float(capsys):
+    assert "integers" in _bad_space(
+        capsys, '{"field": "Q", "qdiag": ["1", "-1"], '
+                '"pairs": [[0.9, 1, "1"]]}')
+
+
+def test_space_pair_index_string(capsys):
+    assert "integers" in _bad_space(
+        capsys, '{"field": "Q", "qdiag": ["1", "-1"], '
+                '"pairs": [["0", 1, "1"]]}')
+
+
+def test_space_dim_bool(capsys):
+    assert "dim" in _bad_space(
+        capsys, '{"field": "Q", "dim": true, "qdiag": ["1"]}')
+
+
+def test_space_dim_float(capsys):
+    assert "dim" in _bad_space(
+        capsys, '{"field": "Q", "dim": 2.0, "qdiag": ["1", "-1"]}')
+
+
+def test_space_repeated_pair(capsys):
+    assert "given once" in _bad_space(
+        capsys, '{"field": "Q", "qdiag": ["1", "-1"], '
+                '"pairs": [[0, 1, "1"], [0, 1, "2"]]}')
+
+
 def test_verify_bad_field_and_flags(capsys):
     assert run(capsys, ["verify", "--field", "F9"])[0] == 2
     assert run(capsys, ["verify", "--field", "F2"])[0] == 2
@@ -382,3 +410,19 @@ def test_orbit_over_q_is_a_config_error(capsys):
     code, out, err = run(capsys, ["orbit", "--field", "Q", "--json"])
     assert code == 2 and not out
     assert err.startswith("error:") and "finite field" in err
+
+
+def test_orbit_past_the_census_guard_exits_2_promptly():
+    """Both spaces pass a guard on the point count alone, and both
+    censuses ran for more than 15 s before the guard bounded the points
+    times the generators."""
+    src = str(Path(vahlen.__file__).resolve().parents[1])
+    for space in ('{"field": "F9973", "qdiag": []}',
+                  '{"field": "F997", "qdiag": ["1"]}'):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vahlen.cli", "orbit", "--space", space,
+             "--c", "1"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("error:") and "guard" in proc.stderr

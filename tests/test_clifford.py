@@ -15,7 +15,7 @@ from vahlen.clifford import (CliffordElement, NotInvertible, NotScalar,
                              element_to_json, enumerate_elements, iota,
                              iota_inv, paravector_pairing, paravector_q,
                              rho_map, upsilon_element, upsilon_map)
-from vahlen.fields import PrimeField, Q
+from vahlen.fields import InfiniteField, PrimeField, Q
 from vahlen.groups import in_group
 from vahlen.quadratic import NotASuperspace, QuadraticSpace, SpaceMismatch
 
@@ -589,3 +589,24 @@ def test_solve_refused_past_bound(monkeypatch):
         in_group(x, "gamma")
     with pytest.raises(_SolveReached):
         _solve_path_element(clifford.MAX_SOLVE_DIM).inverse()
+
+
+def _enumerate_elements_reference(space):
+    """The enumeration as repeated additions of monomial multiples."""
+    elems = [CliffordElement.zero(space)]
+    for s in all_monomials(space):
+        elems = [x if c.is_zero()
+                 else x + CliffordElement.monomial(space, s, c)
+                 for x in elems for c in space.field.elements()]
+    return elems
+
+
+def test_enumerate_elements_matches_repeated_additions():
+    """The same elements in the same order, and none over Q."""
+    for p, qdiag in ((3, [1]), (3, [1, 2]), (5, [0])):
+        V = QuadraticSpace(PrimeField(p), qdiag)
+        elems = enumerate_elements(V)
+        assert elems == _enumerate_elements_reference(V)
+        assert len(elems) == p ** (2 ** len(qdiag))
+    with pytest.raises(InfiniteField):
+        enumerate_elements(QuadraticSpace(Q, [1]))

@@ -578,3 +578,174 @@ def test_kept_entries_follow_the_target_algebra():
         assert h.mobius_apply(m, p) == _mobius_reference(h, m, p)
         # the image kept for the K-model path follows the algebra too
         assert h.equivariance_check(m, p)
+
+
+# -- the part layout ----------------------------------------------------------
+#
+# The references below are the part maps as they were written before
+# groups.part_monomials laid out the part space, one branch per kind.
+
+
+def _part_element_by_kind(h, part):
+    if h.kind == "vector":
+        return CliffordElement.from_vector(h.space.vector(part))
+    return CliffordElement.paravector(h.space, part[0],
+                                      h.space.vector(part[1:]))
+
+
+def _element_to_part_by_kind(h, x):
+    if h.kind == "vector":
+        return x.vector_coords().coords
+    a, v = x.paravector_parts()
+    return (a,) + v.coords
+
+
+def _lift_by_kind(h, p):
+    if h.kind == "vector":
+        coeffs = {(i,): x for i, x in enumerate(p.part)}
+    else:
+        coeffs = {(): p.part[0]}
+        coeffs.update(((i,), x) for i, x in enumerate(p.part[1:]))
+    coeffs[(h.sigma_idx,)] = p.height
+    return CliffordElement(h.sigma_space, coeffs)
+
+
+def _split_by_kind(h, x):
+    part = [h.field.zero] * h.part_len
+    sigma_coeff = h.field.zero
+    for s, coeff in x.coeffs.items():
+        if len(s) == 1 and s[0] == h.sigma_idx:
+            sigma_coeff = coeff
+        elif len(s) == 1 and s[0] < h.space.dim:
+            part[s[0] + (1 if h.kind == "paravector" else 0)] = coeff
+        elif not s and h.kind == "paravector":
+            part[0] = coeff
+        else:
+            raise InvariantViolation(f"illegal term {s}")
+    return tuple(part), sigma_coeff
+
+
+def _part_coords_in_u_by_kind(h, part):
+    coords = [h.field.zero] * h.uspace.dim
+    if h.kind == "vector":
+        for i, x in enumerate(part):
+            coords[i] = x
+    else:
+        for i, x in enumerate(part[1:]):
+            coords[i] = x
+        coords[h.uspace.labels["rho"]] = -part[0]
+    return coords
+
+
+def _u_coords_to_part_by_kind(h, coords):
+    if h.kind == "vector":
+        part = tuple(coords[:h.space.dim])
+    else:
+        part = ((-coords[h.uspace.labels["rho"]],)
+                + tuple(coords[:h.space.dim]))
+    return part, coords[h.e_idx]
+
+
+def _check_layout(h, p):
+    """Each of the six part maps agrees with its reference at p."""
+    part = p.part
+    x = h.part_element(part)
+    assert x == _part_element_by_kind(h, part)
+    assert h._element_to_part(x) == _element_to_part_by_kind(h, x) == part
+    u = h._part_coords_in_u(part)
+    assert u == _part_coords_in_u_by_kind(h, part)
+    for coords in (u, list(h.to_K(p).coords)):
+        assert h._u_coords_to_part(coords, False) == \
+            _u_coords_to_part_by_kind(h, coords)
+    if p.boundary:
+        w = h.to_K(p).coords
+        assert h._u_coords_to_part(w, True) == (part, p.height)
+    else:
+        z = h.lift(p)
+        assert z == _lift_by_kind(h, p)
+        assert h._split(z) == _split_by_kind(h, z) == (part, p.height)
+        # a numerator that leaves the part space is refused by both
+        num = z * z.conj() + z
+        try:
+            expected = _split_by_kind(h, num)
+        except InvariantViolation:
+            with pytest.raises(InvariantViolation):
+                h._split(num)
+        else:
+            assert h._split(num) == expected
+
+
+def test_part_layout_matches_maps_by_kind_over_gf3():
+    """Every point of every GF(3) half-space of dim <= 2: every qdiag and
+    pair value, every c and both kinds."""
+    checked = Counter()
+    for h in _halfspaces(F3, 2):
+        for p in h.enumerate_points():
+            _check_layout(h, p)
+            checked[h.kind, p.boundary] += 1
+    assert len(checked) == 4 and sum(checked.values()) == 8994
+
+
+def test_part_layout_matches_maps_by_kind_over_q():
+    """200 seeded points, regular and boundary, of the degenerate,
+    non-orthogonal dim-4 space over Q, for c in {1, 0, -1} and both kinds.
+    A boundary part solves q = c for coordinate 3, in which q is linear."""
+    V = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): Q.parse("1/2")})
+    rng = random.Random(9)
+    values = (0, 1, -1, 2, Q.parse("3/4"), Q.parse("-1/3"))
+    checked = Counter()
+    for i in range(200):
+        h = HalfSpace(V, (1, 0, -1)[i % 3], ("vector", "paravector")[i % 2])
+        part = [Q.element(rng.choice(values)) for _ in range(h.part_len)]
+        if i % 4 < 2:
+            p = h.regular_point(part, rng.choice(values[1:]))
+        else:
+            off = h.part_len - V.dim
+            part[off + 2] = Q.element(rng.choice(values[1:]))
+            part[off + 3] = Q.zero
+            rest = h.part_q(tuple(part))
+            part[off + 3] = (h.c - rest) / (Q.parse("1/2") * part[off + 2])
+            b = rng.choice(values[1:]) if h.c.is_zero() else \
+                rng.choice(values)
+            p = h.boundary_point(part, b)
+        _check_layout(h, p)
+        checked[h.kind, p.boundary] += 1
+    assert len(checked) == 4 and sum(checked.values()) == 200
+
+
+@pytest.mark.parametrize("kind", ["vector", "paravector"])
+def test_element_to_part_refuses_terms_outside_the_part_space(kind):
+    V = QuadraticSpace(Q, [1, -1])
+    h = HalfSpace(V, 1, kind)
+    bivector = CliffordElement.monomial(V, (0, 1))
+    for x in (bivector, bivector + CliffordElement.monomial(V, (0,))):
+        with pytest.raises(InvariantViolation):
+            h._element_to_part(x)
+    if kind == "vector":
+        with pytest.raises(InvariantViolation):
+            h._element_to_part(CliffordElement.one(V))
+
+
+def test_census_translations_follow_the_part_layout():
+    """The census translates by each basis part in slot order: by 1 first
+    in the paravector model, then by e_0, e_1, ..."""
+    for h in _halfspaces(F3, 2):
+        zero, one = h.field.zero, h.field.one
+        parts = [tuple(one if k == i else zero for k in range(h.part_len))
+                 for i in range(h.part_len)]
+        expected = [translation(h.space, h.kind,
+                                _part_element_by_kind(h, part))
+                    for part in parts]
+        assert h.census_generators("special")[:h.part_len] == expected
+
+
+def test_enumerate_points_guard_bounds_the_points():
+    """A guard below the point count refuses: GF(5) [1, 1] paravector at
+    c = 1 has 650 points, more than p^part_len * p = 625."""
+    spaces = list(_halfspaces(F3, 2))
+    spaces.append(HalfSpace(QuadraticSpace(F5, [1, 1]), 1, "paravector"))
+    for h in spaces:
+        count = len(h.enumerate_points())
+        with pytest.raises(TooLarge):
+            h.enumerate_points(max_points=count - 1)
+    assert count == 650
