@@ -75,7 +75,7 @@ def build_config(args):
         raise ConfigError("gen-length must be >= 1")
     try:
         c = space.field.parse(args.c)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad c: {exc}") from exc
     return RunConfig(space=space, c=c, kind=args.kind, seed=args.seed,
                      samples=args.samples, gen_length=args.gen_length,

@@ -115,8 +115,13 @@ class Field:
         return self.element(1)
 
     def parse(self, text):
-        """Parse the text syntax: "n/d" or "n" over Q, a residue over GF(p)."""
-        return self.element(Fraction(text.strip()))
+        """Parse the text syntax: "n/d" or "n" over Q, a residue over GF(p).
+        A denominator that is zero in the field is a ValueError."""
+        try:
+            return self.element(Fraction(text.strip()))
+        except ZeroDivisionError:
+            raise ValueError(
+                f"{text!r} has a zero denominator in {self!r}") from None
 
     def __ne__(self, other):
         return not self.__eq__(other)

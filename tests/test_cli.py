@@ -10,11 +10,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import vahlen
 from vahlen import clifford
 from vahlen.cli import main
 from vahlen.fields import PRIME_BOUND, PrimeField, Q
 from vahlen.halfspace import HalfSpace
+from vahlen.matrices import MAX_EXHAUSTIVE_MATRICES
 from vahlen.quadratic import QuadraticSpace
 from vahlen.suites import boundary_parts
 
@@ -426,3 +429,64 @@ def test_orbit_past_the_census_guard_exits_2_promptly():
             env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 2 and not proc.stdout
         assert proc.stderr.startswith("error:") and "guard" in proc.stderr
+
+
+ONE_OVER_ZERO = json.dumps({"a": [{"indices": [], "coeff": "1/0"}],
+                            "b": [], "c": [],
+                            "d": [{"indices": [], "coeff": "1"}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--space", '{"field": "Q", "qdiag": ["1/0"]}'],
+    ["verify", "--space", '{"field": "Q", "qdiag": ["1", "1"], '
+                          '"pairs": [[0, 1, "1/0"]]}'],
+    ["act", "--matrix", ONE_OVER_ZERO, "--point", SIGMA_POINT],
+    ["act", "--matrix", TRANSLATION, "--point",
+     '{"kind": "regular", "v": ["0", "0"], "t": "1/0"}'],
+    ["act", "--matrix", TRANSLATION, "--point",
+     '{"kind": "regular", "v": ["0", "0"], "t": "1", "c": "1/0"}'],
+    ["act", "--space", '{"field": "F3", "qdiag": ["1"]}', "--matrix",
+     TRANSLATION, "--point", '{"kind": "regular", "v": ["0"], "t": "1/3"}'],
+], ids=["space-qdiag", "pair-value", "matrix-coefficient", "point-coordinate",
+        "point-c", "gf3-one-third"])
+def test_zero_denominator_exits_2(capsys, argv):
+    """A scalar whose denominator is zero in the field is a config error."""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "zero denominator" in err
+    assert "Traceback" not in err
+
+
+def test_enumerate_past_the_matrix_guard_exits_2_promptly():
+    """GF(7) [1] (5.76e6 matrices) and GF(53) [] (7.9e6) are refused at
+    once; unguarded, each would run for minutes.  GF(5) [1] (390,625) is
+    admitted."""
+    assert 5 ** 8 <= MAX_EXHAUSTIVE_MATRICES < 7 ** 8
+    src = str(Path(vahlen.__file__).resolve().parents[1])
+    for space in ('{"field": "F7", "qdiag": ["1"]}',
+                  '{"field": "F53", "qdiag": []}'):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vahlen.cli", "enumerate", "--space",
+             space], capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr.startswith("error:") and "guard" in proc.stderr
+
+
+def test_json_identical_across_hash_seeds():
+    """String hashing varies between processes; the reports do not."""
+    src = str(Path(vahlen.__file__).resolve().parents[1])
+    space = json.dumps({"field": "Q", "dim": 4,
+                        "qdiag": ["1", "-1", "2", "0"],
+                        "pairs": [[0, 1, "1"], [2, 3, "1/2"]]})
+    runs = [["verify", "--space", space, "--kind", "paravector", "--seed",
+             "7", "--samples", "20", "--gen-length", "3", "--json"]]
+    runs += [["orbit", "--space", '{"field": "F5", "qdiag": ["1", "0"]}',
+              "--group", group, "--json"] for group in ("special", "full")]
+    for argv in runs:
+        outs = [subprocess.run(
+            [sys.executable, "-m", "vahlen.cli"] + argv,
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        ).stdout for seed in ("0", "1")]
+        assert outs[0] == outs[1] and json.loads(outs[0])

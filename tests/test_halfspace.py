@@ -16,6 +16,7 @@ from vahlen.halfspace import (HalfSpace, InvariantViolation,
 from vahlen.matrices import (NotVahlen, TooLarge, dilation, pseudo_det,
                              random_vahlen, translation, weyl)
 from vahlen.quadratic import QuadraticSpace
+from vahlen.suites import boundary_parts
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -749,3 +750,126 @@ def test_enumerate_points_guard_bounds_the_points():
         with pytest.raises(TooLarge):
             h.enumerate_points(max_points=count - 1)
     assert count == 650
+
+
+# -- one action path ----------------------------------------------------------
+#
+# The references below are value_identity_check and mobius_denominator as
+# they were written before both point kinds fed one (part, s, den, N) tuple:
+# one branch per point kind, with every piece recomputed here.
+
+
+def _numerator_pieces_reference(h, m, p):
+    """(num, N(cz+d), N(az+b), det) at a regular point, and the starred
+    (num*, den*, N*, det) at a boundary point."""
+    det = pseudo_det(m, h.kind)
+    if not p.boundary:
+        z = _lift_reference(h, p)
+        a, b, c, d = (x.embed(h.sigma_space) for x in m.entries())
+        upper, lower = a * z + b, c * z + d
+        return (upper * lower.conj(), lower.norm().to_scalar(),
+                upper.norm().to_scalar(), det)
+    a, b, c, d = m.entries()
+    u = h.part_element(p.part)
+    ub, t = u.conj(), p.height
+    star = a * c.conj() * t + (a * u * d.conj() + b * ub * c.conj())
+    den_star = (c.norm() * t + (c * u * d.conj() + d * ub * c.conj())
+                ).to_scalar()
+    num_norm_star = (a.norm() * t
+                     + (a * u * b.conj() + b * ub * a.conj())).to_scalar()
+    return star, den_star, num_norm_star, det
+
+
+def _value_identity_reference(h, m, p):
+    num, den, num_norm, det = _numerator_pieces_reference(h, m, p)
+    if not p.boundary:
+        part, _ = _split_by_kind(h, num)
+        expected = h.c * p.height * p.height * det * det - num_norm * den
+    else:
+        part = _element_to_part_by_kind(h, num)
+        expected = h.c * det * det - num_norm * den
+    return h.part_q(part) == expected
+
+
+def _denominator_reference(h, m, p):
+    return _numerator_pieces_reference(h, m, p)[1]
+
+
+def _check_action(h, m, p):
+    """The three callers of the action agree with their references at p;
+    returns the Moebius case, point kind then image kind."""
+    image = h.mobius_apply(m, p)
+    assert image == _mobius_reference(h, m, p)
+    assert h.mobius_denominator(p, m) == _denominator_reference(h, m, p)
+    assert h.value_identity_check(m, p)
+    assert _value_identity_reference(h, m, p)
+    return "rb"[p.boundary] + "rb"[image.boundary]
+
+
+def test_action_path_matches_references_over_gf3():
+    """Every (special census generator, point) pair of every GF(3)
+    half-space of dim <= 1: every qdiag, every c and both kinds."""
+    cases = Counter()
+    for h in _halfspaces(F3, 1):
+        points = h.enumerate_points()
+        for g in h.census_generators("special"):
+            for p in points:
+                cases[_check_action(h, g, p)] += 1
+    assert cases == {"rr": 1360, "rb": 80, "br": 80, "bb": 578}
+
+
+def test_action_path_matches_references_over_q():
+    """200 seeded random Vahlen matrices, each at a regular or a boundary
+    point of the degenerate, non-orthogonal dim-4 space over Q, for c in
+    {1, 0, -1} and both kinds."""
+    V = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): Q.parse("1/2")})
+    rng = random.Random(11)
+    values = (1, -1, 2, Q.parse("3/4"), Q.parse("-1/3"))
+    halfspaces = {}
+    checked = Counter()
+    for i in range(200):
+        key = (1, 0, -1)[i % 3], ("vector", "paravector")[i % 2]
+        if key not in halfspaces:
+            h = HalfSpace(V, *key)
+            halfspaces[key] = h, boundary_parts(h)
+        h, bparts = halfspaces[key]
+        m = random_vahlen(V, h.kind, rng, rng.randint(1, 3))
+        if i % 4 < 2:
+            part = [rng.choice((0,) + values) for _ in range(h.part_len)]
+            p = h.regular_point(part, rng.choice(values))
+        else:
+            part = rng.choice(bparts)
+            radical = h.c.is_zero() and h.part_in_radical(part)
+            p = h.boundary_point(part, rng.choice(values if radical
+                                                  else (0,) + values))
+        _check_action(h, m, p)
+        checked[h.kind, p.boundary] += 1
+    assert len(checked) == 4 and sum(checked.values()) == 200
+
+
+@pytest.mark.parametrize("kind", ["vector", "paravector"])
+def test_sigma_check_refuses_a_wrong_det(kind, monkeypatch):
+    """At a regular point the sigma coefficient of the numerator is t det:
+    with a wrong pseudo-determinant each caller of the action refuses the
+    point."""
+    V = QuadraticSpace(Q, [1, -1])
+    h = HalfSpace(V, 1, kind)
+    m = translation(V, kind, CliffordElement.monomial(V, (0,))) * weyl(V)
+    monkeypatch.setattr(halfspace, "pseudo_det",
+                        lambda m, kind: pseudo_det(m, kind) * 2)
+    p = h.regular_point([1] * h.part_len, 3)
+    for call in (h.mobius_apply, h.value_identity_check,
+                 lambda m, p: h.mobius_denominator(p, m)):
+        with pytest.raises(InvariantViolation, match="t det"):
+            call(m, p)
+
+
+def test_represented_iff_some_boundary_point():
+    """The census reads represented off its boundary count: every GF(3)
+    half-space of dim <= 2, every c and both kinds."""
+    seen = Counter()
+    for h in _halfspaces(F3, 2):
+        has_boundary = any(p.boundary for p in h.enumerate_points())
+        assert h.represented() == has_boundary
+        seen[has_boundary] += 1
+    assert len(seen) == 2
