@@ -231,7 +231,7 @@ class CliffordElement:
         indices = tuple(indices)
         if list(indices) != sorted(set(indices)):
             raise ValueError("monomial indices must be strictly increasing")
-        if indices and not 0 <= indices[-1] < space.dim:
+        if indices and not 0 <= indices[0] <= indices[-1] < space.dim:
             raise ValueError("monomial index out of range")
         return cls(space, {indices: space.field.element(coeff)})
 
@@ -626,10 +626,9 @@ def element_from_json(space, data):
             raise ValueError(f"term {term!r} is not "
                              '{"indices": [int, ...], "coeff": ...}')
         s = tuple(term["indices"])
+        if list(s) != sorted(set(s)) or (s and (s[0] < 0
+                                                or s[-1] >= space.dim)):
+            raise ValueError(f"bad monomial indices {s}")
         c = space.field.parse(str(term["coeff"]))
         coeffs[s] = coeffs.get(s, zero) + c
-    out = CliffordElement(space, coeffs)
-    for s in out.coeffs:
-        if list(s) != sorted(set(s)) or (s and s[-1] >= space.dim):
-            raise ValueError(f"bad monomial indices {s}")
-    return out
+    return CliffordElement(space, coeffs)

@@ -1,5 +1,7 @@
 """Clifford group membership, the projections pi and pi-tilde, and the
 matrix-algebra isomorphisms M2(C(V,q)) = C(V_U) and M2(C(V,q)) = C(V_{U,F})+.
+The second is the first followed by rho_map, which carries C(V_U) onto
+C(V_U + F rho)+ = C(V_{U,F})+.
 
 Groups are infinite over Q, so membership is by predicate; nothing is ever
 materialized.
@@ -249,63 +251,21 @@ def CU_to_matrix(psi, base):
 # -- M2(C) = C(V_{U,F})+ ---------------------------------------------------------
 
 
-def _hyperbolic_rho_blocks(vuf):
-    blocks = vuf._ext_cache.get("cuf_blocks")
-    if blocks is None:
-        e = CliffordElement.monomial(vuf, (vuf.labels["e"],))
-        f = CliffordElement.monomial(vuf, (vuf.labels["f"],))
-        r = CliffordElement.monomial(vuf, (vuf.labels["rho"],))
-        blocks = (e * f, e * r, f * r, f * e)
-        vuf._ext_cache["cuf_blocks"] = blocks
-    return blocks
-
-
 def matrix_to_CUF(m, vuf=None):
-    """(a b; c d) -> a_rho ef + b_rho e rho + c'_rho f rho + d'_rho fe."""
+    """rho_map of the C(V_U) image: V_{U,F} extends V_U, so rho_map carries
+    C(V_U) onto C(V_{U,F})+."""
     if vuf is None:
         vuf = m.space.extend_hyperbolic_rho()
-    ef, er, fr, fe = _hyperbolic_rho_blocks(vuf)
-    a, b, c, d = m.entries()
-    return (rho_map(a, vuf) * ef + rho_map(b, vuf) * er
-            + rho_map(c.grade_involution(), vuf) * fr
-            + rho_map(d.grade_involution(), vuf) * fe)
+    return rho_map(matrix_to_CU(m), vuf)
 
 
 def CUF_to_matrix(psi, base):
-    """Peel the four components out of an element of C(V_{U,F})+."""
+    """Undo rho_map, then peel with CU_to_matrix: rho is the last generator
+    of V_{U,F}, so x_- rho has the monomials of x_- with rho appended."""
     if not psi.is_even():
         raise ValueError("element is not in the even subalgebra")
-    n = base.dim
-    e_idx, f_idx, r_idx = n, n + 1, n + 2
-    field = base.field
-    beta, gamma, delta = {}, {}, {}
-    raw_ef, raw_efr = {}, {}
-    for s, c in psi.coeffs.items():
-        content = frozenset(i for i in s if i >= n)
-        rest = tuple(i for i in s if i < n)
-        if content == frozenset():
-            delta[rest] = c
-        elif content == frozenset({r_idx}):
-            delta[rest] = -c
-        elif content in (frozenset({e_idx}), frozenset({e_idx, r_idx})):
-            beta[rest] = c
-        elif content == frozenset({f_idx}):
-            gamma[rest] = -c
-        elif content == frozenset({f_idx, r_idx}):
-            gamma[rest] = c
-        elif content == frozenset({e_idx, f_idx}):
-            raw_ef[rest] = c
-        elif content == frozenset({e_idx, f_idx, r_idx}):
-            raw_efr[rest] = c
-        else:
-            raise ValueError("element does not match the block decomposition")
-    # alpha_S = raw_ef(S) + delta_S for even S, raw_efr(S) - delta_S for odd S
-    alpha = {}
-    for s in set(raw_ef) | set(raw_efr) | set(delta):
-        d = delta.get(s, field.zero)
-        if len(s) % 2 == 0:
-            alpha[s] = raw_ef.get(s, field.zero) + d
-        else:
-            alpha[s] = raw_efr.get(s, field.zero) - d
-    return CMatrix2(CliffordElement(base, alpha), CliffordElement(base, beta),
-                    CliffordElement(base, gamma), CliffordElement(base, delta))
+    r_idx = base.dim + 2
+    coeffs = {(s[:-1] if s and s[-1] == r_idx else s): c
+              for s, c in psi.coeffs.items()}
+    return CU_to_matrix(CliffordElement(base.extend_hyperbolic(), coeffs),
+                        base)

@@ -354,7 +354,7 @@ class HalfSpace:
         self._require_vahlen(m)
         eta = self._eta(m)
         img = eta * CliffordElement.from_vector(w) * eta.transpose()
-        img = img * pseudo_det(m, self.kind).inverse()
+        img = img * self._det(m).inverse()
         return img.vector_coords()
 
     def equivariance_check(self, m, p):

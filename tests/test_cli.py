@@ -240,6 +240,15 @@ def test_act_matrix_entry_not_list(capsys):
     assert "is not" in _bad_act(capsys, term, SIGMA_POINT)
 
 
+def test_act_negative_monomial_index(capsys):
+    """A negative index is refused, not read as the last generator."""
+    matrix = json.dumps({"a": [{"indices": [], "coeff": "1"}],
+                         "b": [{"indices": [-1], "coeff": "1"}],
+                         "c": [], "d": [{"indices": [], "coeff": "1"}]})
+    err = _bad_act(capsys, matrix, '{"kind":"regular","v":["0","0"],"t":"1"}')
+    assert "bad monomial indices (-1,)" in err and "Traceback" not in err
+
+
 def test_act_point_not_object(capsys):
     assert "JSON object" in _bad_act(capsys, TRANSLATION, "[1]")
 

@@ -360,6 +360,20 @@ def test_element_json(mixed_space):
         element_from_json(mixed_space, [{"indices": [9], "coeff": "1"}])
 
 
+def test_negative_and_zero_coefficient_indices_refused(mixed_space):
+    """A negative index is not read as counting from the last generator,
+    and a bad term is refused even when its coefficient is zero."""
+    for indices in ((-1,), (-1, 0), (-2, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            CliffordElement.monomial(mixed_space, indices)
+        with pytest.raises(ValueError, match="bad monomial indices"):
+            element_from_json(mixed_space,
+                              [{"indices": list(indices), "coeff": "1"}])
+    with pytest.raises(ValueError, match="bad monomial indices"):
+        element_from_json(mixed_space, [{"indices": [9], "coeff": "0"}])
+    assert CliffordElement.monomial(mixed_space, (0,)).coeffs == {(0,): 1}
+
+
 # -- the integer product kernel against the rewriting reference -----------------
 
 

@@ -1,14 +1,16 @@
 """Clifford group predicates, the projections pi and pi-tilde, and the
 2x2-matrix isomorphisms."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from vahlen import linalg
 from vahlen.clifford import (CliffordElement, NotInvertible, all_monomials,
                              enumerate_elements, paravector_pairing,
-                             paravector_q)
+                             paravector_q, rho_map)
 from vahlen.fields import PrimeField, Q
 from vahlen.groups import (CMatrix2, CU_to_matrix, CUF_to_matrix,
                            NotInCliffordGroup, in_group, lands,
@@ -380,3 +382,124 @@ def test_iso_dimension_count(degen_space):
     vuf = V.extend_hyperbolic_rho()
     even = [s for s in all_monomials(vuf) if len(s) % 2 == 0]
     assert len(even) == 4 * len(all_monomials(V))
+
+
+# -- M2(C) = C(V_{U,F})+ against the block form it replaced -------------------
+
+
+def _matrix_to_CUF_reference(m, vuf):
+    """(a b; c d) -> a_rho ef + b_rho e rho + c'_rho f rho + d'_rho fe."""
+    def gen(name):
+        return CliffordElement.monomial(vuf, (vuf.labels[name],))
+    e, f, r = gen("e"), gen("f"), gen("rho")
+    a, b, c, d = m.entries()
+    return (rho_map(a, vuf) * (e * f) + rho_map(b, vuf) * (e * r)
+            + rho_map(c.grade_involution(), vuf) * (f * r)
+            + rho_map(d.grade_involution(), vuf) * (f * e))
+
+
+def _CUF_to_matrix_reference(psi, base):
+    """The eight-case peeler, one case per subset of {e, f, rho}."""
+    assert psi.is_even()
+    n, field = base.dim, base.field
+    e_idx, f_idx, r_idx = n, n + 1, n + 2
+    beta, gamma, delta, raw_ef, raw_efr = {}, {}, {}, {}, {}
+    for s, c in psi.coeffs.items():
+        content = frozenset(i for i in s if i >= n)
+        rest = tuple(i for i in s if i < n)
+        if content == frozenset():
+            delta[rest] = c
+        elif content == frozenset({r_idx}):
+            delta[rest] = -c
+        elif content in (frozenset({e_idx}), frozenset({e_idx, r_idx})):
+            beta[rest] = c
+        elif content == frozenset({f_idx}):
+            gamma[rest] = -c
+        elif content == frozenset({f_idx, r_idx}):
+            gamma[rest] = c
+        elif content == frozenset({e_idx, f_idx}):
+            raw_ef[rest] = c
+        else:
+            raw_efr[rest] = c
+    alpha = {}
+    for s in set(raw_ef) | set(raw_efr) | set(delta):
+        d = delta.get(s, field.zero)
+        if len(s) % 2 == 0:
+            alpha[s] = raw_ef.get(s, field.zero) + d
+        else:
+            alpha[s] = raw_efr.get(s, field.zero) - d
+    return CMatrix2(CliffordElement(base, alpha), CliffordElement(base, beta),
+                    CliffordElement(base, gamma), CliffordElement(base, delta))
+
+
+def _gf3_forms(max_dim):
+    """Every GF(3) form of dimension at most max_dim: all diagonals times all
+    pair values."""
+    for dim in range(max_dim + 1):
+        slots = list(itertools.combinations(range(dim), 2))
+        for qdiag in itertools.product(range(3), repeat=dim):
+            for values in itertools.product(range(3), repeat=len(slots)):
+                yield QuadraticSpace(F3, list(qdiag), dict(zip(slots, values)))
+
+
+def test_cuf_iso_matches_block_form_on_single_entry_matrices():
+    """Both maps are additive, so agreeing on every matrix with one nonzero
+    entry (every element at every position) makes them equal."""
+    checked = 0
+    for V in _gf3_forms(1):
+        vuf = V.extend_hyperbolic_rho()
+        zero = CliffordElement.zero(V)
+        for x in enumerate_elements(V):
+            for pos in range(4):
+                entries = [zero] * 4
+                entries[pos] = x
+                m = CMatrix2(*entries)
+                chi = matrix_to_CUF(m, vuf)
+                assert chi == _matrix_to_CUF_reference(m, vuf), (m, pos)
+                assert CUF_to_matrix(chi, V) == m
+                checked += 1
+    assert checked == 120
+
+
+def test_cuf_peeler_matches_eight_cases_on_even_monomials():
+    """Every even monomial of C(V_{U,F}), a spanning set of C(V_{U,F})+, for
+    every GF(3) form of dim <= 2, against the eight-case peeler."""
+    checked = 0
+    for V in _gf3_forms(2):
+        vuf = V.extend_hyperbolic_rho()
+        for s in all_monomials(vuf):
+            if len(s) % 2:
+                continue
+            psi = CliffordElement.monomial(vuf, s)
+            m = CUF_to_matrix(psi, V)
+            assert m == _CUF_to_matrix_reference(psi, V), (V.qdiag, s)
+            assert matrix_to_CUF(m, vuf) == psi
+            checked += 1
+    assert checked == 1 * 4 + 3 * 8 + 27 * 16
+
+
+def test_cuf_iso_matches_block_form_over_q():
+    """40 random matrices over the degenerate, non-orthogonal dim-4 space."""
+    V = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): Fraction(1, 2)})
+    vuf = V.extend_hyperbolic_rho()
+    rng = random.Random(12)
+    for _ in range(40):
+        m = CMatrix2(*(rand_element(V, rng, 0.3) for _ in range(4)))
+        chi = matrix_to_CUF(m)
+        assert chi.space is vuf
+        assert chi == _matrix_to_CUF_reference(m, vuf)
+        assert CUF_to_matrix(chi, V) == m
+        assert _CUF_to_matrix_reference(chi, V) == m
+
+
+def test_iso_peelers_refuse_elements_outside_their_images(degen_space):
+    V = degen_space
+    vuf = V.extend_hyperbolic_rho()
+    odd = CliffordElement.monomial(vuf, (vuf.labels["e"],))
+    with pytest.raises(ValueError, match="even subalgebra"):
+        CUF_to_matrix(odd, V)
+    with pytest.raises(ValueError, match="even subalgebra"):
+        CUF_to_matrix(odd + CliffordElement.one(vuf), V)
+    stray = CliffordElement.monomial(vuf, (0, vuf.labels["rho"]))
+    with pytest.raises(ValueError, match="embedded C\\(V_U\\)"):
+        CU_to_matrix(CliffordElement.one(vuf) + stray, V)

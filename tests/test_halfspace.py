@@ -873,3 +873,35 @@ def test_represented_iff_some_boundary_point():
         assert h.represented() == has_boundary
         seen[has_boundary] += 1
     assert len(seen) == 2
+
+
+@pytest.mark.parametrize("kind", ["vector", "paravector"])
+def test_equivariance_computes_each_pseudo_det_once(kind, monkeypatch):
+    """The K-model path divides by the det the Moebius path keeps: 10 seeded
+    matrices, each checked at 3 points of the dim-4 space, one pseudo_det
+    call per matrix."""
+    calls = Counter()
+    kept = []  # keeps every matrix alive, so its id stays unique
+
+    def counting_det(m, kind):
+        calls[id(m), kind] += 1
+        kept.append(m)
+        return pseudo_det(m, kind)
+
+    monkeypatch.setattr(halfspace, "pseudo_det", counting_det)
+    V = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): Q.parse("1/2")})
+    h = HalfSpace(V, 1, kind)
+    bparts = boundary_parts(h)
+    rng = random.Random(23)
+    values = (1, -1, 2, Q.parse("3/4"), Q.parse("-1/3"))
+    for _ in range(10):
+        m = random_vahlen(V, kind, rng, 2)
+        points = [h.regular_point([rng.choice((0,) + values)
+                                   for _ in range(h.part_len)],
+                                  rng.choice(values))
+                  for _ in range(2)]
+        points.append(h.boundary_point(rng.choice(bparts),
+                                       rng.choice((0,) + values)))
+        for p in points:
+            assert h.equivariance_check(m, p)
+    assert len(calls) == 10 and set(calls.values()) == {1}
