@@ -5,15 +5,20 @@ index tuples) to nonzero scalars.  The relations e_i e_i = q(e_i) and
 e_i e_j + e_j e_i = (e_i, e_j) are used as given, so no diagonalization of q
 is ever needed.
 
-Products and transposes run on plain integers, one kernel for both fields.
-Over GF(p) a coefficient is its residue, and each output coefficient is
-reduced mod p once.  Over Q an operand is written as integer numerators
-over one common denominator, and the structure constants are integers over
-the per-space scale D = L**dim, where L is the lcm of the denominators of
-the q(e_i) and the pair values; each output coefficient is built once, as
-the fraction n / (da * db * D).  Integer arithmetic is exact and every term
-carries the same scale, so each coefficient is the same exact scalar that
-term-by-term field arithmetic gives.
+An element is stored in the integer form its arithmetic runs on: a dict
+`terms` from monomial to integer over one positive denominator `den`.  Over
+GF(p) the integers are residues in 1..p-1 and den is 1; over Q they are
+nonzero numerators with gcd(den, all of them) = 1, and 0 is {} over 1.  The
+form is canonical, so equality and hashing compare stores.  Every operation
+passes an integer accumulator through the one normalizer, _of, which drops
+zeros and reduces mod p or by the gcd; Scalars are built only at the API
+boundary (coeffs, scalar_part, vector_coords, the JSON).  Products and
+transposes take integer structure constants over the per-space scale
+D = L**dim, where L is the lcm of the denominators of the q(e_i) and the
+pair values (1 over GF(p)), so a product of two stores is an accumulator
+over da * db * D.  Integer arithmetic is exact and every term carries the
+same scale, so each coefficient is the same exact scalar that term-by-term
+field arithmetic gives.
 
 The constants of a monomial product e_s e_t, and of the transpose of e_s,
 are computed on first use in closed form and kept in the space's one
@@ -45,8 +50,9 @@ and the product of the two factors has scale D.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .fields import InfiniteField, Scalar, residue_tuples
@@ -171,46 +177,51 @@ def _block_terms(space, base, nv, s, t):
     return tuple([(v + g, a * b % p) for v, a in vs for g, b in bs])
 
 
-def _raw(x, p):
-    """(den, [(s, n_s)]) with x = sum n_s e_s / den and integer n_s."""
-    if p is not None:
-        return 1, [(s, c.value) for s, c in x.coeffs.items()]
-    den = lcm(*(c.value.denominator for c in x.coeffs.values()))
-    return den, [(s, c.value.numerator * (den // c.value.denominator))
-                 for s, c in x.coeffs.items()]
-
-
-def _from_raw(space, acc, p, den):
-    """The element sum acc[u] e_u / den, reduced once per coefficient."""
-    field = space.field
-    if p is None:
-        coeffs = {u: Scalar(field, Fraction(n, den))
-                  for u, n in acc.items() if n}
-    else:
-        coeffs = {}
-        for u, n in acc.items():
-            n %= p
-            if n:
-                coeffs[u] = Scalar(field, n)
-    return CliffordElement._of(space, coeffs)
+# the monomials each part keeps
+_PARTS = {"scalar": lambda s: not s, "even": lambda s: len(s) % 2 == 0,
+          "odd": lambda s: len(s) % 2 == 1}
 
 
 class CliffordElement:
-    """An element of C(V, q); immutable by convention."""
+    """An element of C(V, q); immutable by convention.  It is kept in the
+    kernel's integer form: the element sum terms[s] e_s / den, canonical
+    as the module docstring states, so equal elements have equal stores."""
 
-    __slots__ = ("space", "coeffs", "_hash")
+    __slots__ = ("space", "terms", "den", "_hash")
 
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.coeffs = {s: c for s, c in coeffs.items() if not c.is_zero()}
-        self._hash = None
+    def __new__(cls, space, coeffs):
+        """From a map monomial -> Scalar, int or Fraction."""
+        field = space.field
+        vals = [(s, field.element(c).value if isinstance(c, Scalar)
+                 else field._coerce(c)) for s, c in coeffs.items()]
+        den = lcm(*(v.denominator for _, v in vals))
+        return cls._of(space, {s: v.numerator * (den // v.denominator)
+                               for s, v in vals}, den)
 
     @classmethod
-    def _of(cls, space, coeffs):
-        """Wrap coefficients already known to be nonzero."""
+    def _of(cls, space, acc, den=1):
+        """The one normalizer: the element sum acc[u] e_u / den (den > 0)
+        with its zero terms dropped, reduced mod p or by the gcd."""
         x = object.__new__(cls)
-        x.space, x.coeffs, x._hash = space, coeffs, None
+        p = space.field.modulus
+        if p is None:
+            g = gcd(den, *acc.values())
+            terms, den = {u: n // g for u, n in acc.items() if n}, den // g
+        else:
+            terms = {u: r for u, n in acc.items() if (r := n % p)}
+        x.space, x.terms, x.den, x._hash = space, terms, den, None
         return x
+
+    def _scalar(self, n):
+        """The Scalar of the stored coefficient n."""
+        field = self.space.field
+        return Scalar(field, n if field.modulus else Fraction(n, self.den))
+
+    @property
+    def coeffs(self):
+        """The coefficients as a read-only map monomial -> Scalar; its keys
+        and its length are read off the store without building Scalars."""
+        return _Coeffs(self)
 
     # -- constructors -------------------------------------------------------
 
@@ -220,7 +231,7 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, space, value):
-        return cls(space, {(): space.field.element(value)})
+        return cls(space, {(): value})
 
     @classmethod
     def one(cls, space):
@@ -233,65 +244,62 @@ class CliffordElement:
             raise ValueError("monomial indices must be strictly increasing")
         if indices and not 0 <= indices[0] <= indices[-1] < space.dim:
             raise ValueError("monomial index out of range")
-        return cls(space, {indices: space.field.element(coeff)})
+        return cls(space, {indices: coeff})
 
     @classmethod
     def from_vector(cls, v):
-        return cls(v.space, {(i,): c for i, c in enumerate(v.coords)
-                             if not c.is_zero()})
+        return cls(v.space, {(i,): c for i, c in enumerate(v.coords)})
 
     @classmethod
     def paravector(cls, space, a, v=None):
-        coeffs = {(): space.field.element(a)}
-        if v is not None:
-            for i, c in enumerate(v.coords):
-                coeffs[(i,)] = c
-        return cls(space, coeffs)
+        coords = () if v is None else v.coords
+        return cls(space, {(): a, **{(i,): c for i, c in enumerate(coords)}})
 
     # -- ring structure ------------------------------------------------------
 
     def _check(self, other):
-        if other.space != self.space:
+        if other.space is not self.space and other.space != self.space:
             raise SpaceMismatch("elements of different algebras")
 
     def __add__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, CliffordElement):
             other = CliffordElement.scalar(self.space, other)
         self._check(other)
-        out = dict(self.coeffs)
-        zero = self.space.field.zero
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, zero) + c
-        return CliffordElement(self.space, out)
+        den = lcm(self.den, other.den)
+        k = den // self.den
+        acc = {s: n * k for s, n in self.terms.items()}
+        get, k = acc.get, den // other.den
+        for s, n in other.terms.items():
+            acc[s] = get(s, 0) + n * k
+        return CliffordElement._of(self.space, acc, den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            other = CliffordElement.scalar(self.space, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return CliffordElement(self.space,
-                               {s: -c for s, c in self.coeffs.items()})
+        return CliffordElement._of(
+            self.space, {s: -n for s, n in self.terms.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            k = self.space.field.element(other)
-            return CliffordElement(self.space,
-                                   {s: c * k for s, c in self.coeffs.items()})
+        if not isinstance(other, CliffordElement):
+            field = self.space.field
+            k = (field.element(other).value if isinstance(other, Scalar)
+                 else field._coerce(other))
+            return CliffordElement._of(
+                self.space, {s: n * k.numerator for s, n in self.terms.items()},
+                self.den * k.denominator)
         self._check(other)
         space = self.space
-        p, _, scale, _, _ = _kernel(space)
-        da, xs = _raw(self, p)
-        db, ys = _raw(other, p)
         cache = space._mono_cache
         acc = {}
         get = acc.get
-        for s, a in xs:
+        ys = other.terms.items()
+        for s, a in self.terms.items():
             for t, b in ys:
                 terms = cache.get((s, t))
                 if terms is None:
@@ -299,7 +307,8 @@ class CliffordElement:
                 ab = a * b
                 for u, f in terms:
                     acc[u] = get(u, 0) + ab * f
-        return _from_raw(space, acc, p, da * db * scale)
+        return CliffordElement._of(space, acc,
+                                   self.den * other.den * _kernel(space)[2])
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int, Fraction)):
@@ -314,7 +323,8 @@ class CliffordElement:
         if isinstance(other, (Scalar, int, Fraction)):
             other = CliffordElement.scalar(self.space, other)
         return (isinstance(other, CliffordElement)
-                and other.space == self.space and other.coeffs == self.coeffs)
+                and other.space == self.space and other.den == self.den
+                and other.terms == self.terms)
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -323,33 +333,32 @@ class CliffordElement:
         # computed on first use: elements are hashed again and again as
         # memo keys, and are never changed once hashed
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.coeffs.items())))
+            self._hash = hash((self.den, frozenset(self.terms.items())))
         return self._hash
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     # -- involutions and norm ------------------------------------------------
 
     def grade_involution(self):
-        return CliffordElement(
+        return CliffordElement._of(
             self.space,
-            {s: (-c if len(s) % 2 else c) for s, c in self.coeffs.items()})
+            {s: (-n if len(s) % 2 else n) for s, n in self.terms.items()},
+            self.den)
 
     def transpose(self):
         space = self.space
-        p, _, scale, _, _ = _kernel(space)
-        da, xs = _raw(self, p)
         cache = space._mono_cache
         acc = {}
         get = acc.get
-        for s, a in xs:
+        for s, a in self.terms.items():
             terms = cache.get((s, None))
             if terms is None:
                 terms = _mono_terms(space, s, None)
             for u, f in terms:
                 acc[u] = get(u, 0) + a * f
-        return _from_raw(space, acc, p, da * scale)
+        return CliffordElement._of(space, acc, self.den * _kernel(space)[2])
 
     def conj(self):
         """The Clifford involution, grade then transpose (they commute)."""
@@ -371,36 +380,31 @@ class CliffordElement:
     # -- parts ----------------------------------------------------------------
 
     def part(self, kind):
-        if kind == "scalar":
-            return CliffordElement(
-                self.space, {s: c for s, c in self.coeffs.items() if not s})
-        if kind == "even":
-            return CliffordElement(
-                self.space,
-                {s: c for s, c in self.coeffs.items() if len(s) % 2 == 0})
-        if kind == "odd":
-            return CliffordElement(
-                self.space,
-                {s: c for s, c in self.coeffs.items() if len(s) % 2 == 1})
-        raise ValueError(f"unknown part {kind!r}")
+        keep = _PARTS.get(kind)
+        if keep is None:
+            raise ValueError(f"unknown part {kind!r}")
+        return CliffordElement._of(
+            self.space, {s: n for s, n in self.terms.items() if keep(s)},
+            self.den)
 
     def is_scalar(self):
-        return all(not s for s in self.coeffs)
+        return all(not s for s in self.terms)
 
     def is_vector(self):
-        return all(len(s) == 1 for s in self.coeffs)
+        return all(len(s) == 1 for s in self.terms)
 
     def is_paravector(self):
-        return all(len(s) <= 1 for s in self.coeffs)
+        return all(len(s) <= 1 for s in self.terms)
 
     def is_even(self):
-        return all(len(s) % 2 == 0 for s in self.coeffs)
+        return all(len(s) % 2 == 0 for s in self.terms)
 
     def is_odd(self):
-        return all(len(s) % 2 == 1 for s in self.coeffs)
+        return all(len(s) % 2 == 1 for s in self.terms)
 
     def scalar_part(self):
-        return self.coeffs.get((), self.space.field.zero)
+        n = self.terms.get(())
+        return self.space.field.zero if n is None else self._scalar(n)
 
     def to_scalar(self):
         """Checked extraction; scalarness failing is a reportable outcome."""
@@ -410,10 +414,10 @@ class CliffordElement:
 
     def vector_coords(self):
         coords = [self.space.field.zero] * self.space.dim
-        for s, c in self.coeffs.items():
+        for s, n in self.terms.items():
             if len(s) != 1:
                 raise NotScalar(f"not a vector: {self!r}")
-            coords[s[0]] = c
+            coords[s[0]] = self._scalar(n)
         return Vector(self.space, coords)
 
     def paravector_parts(self):
@@ -421,9 +425,9 @@ class CliffordElement:
         if not self.is_paravector():
             raise NotAParavector(f"not a paravector: {self!r}")
         coords = [self.space.field.zero] * self.space.dim
-        for s, c in self.coeffs.items():
+        for s, n in self.terms.items():
             if s:
-                coords[s[0]] = c
+                coords[s[0]] = self._scalar(n)
         return self.scalar_part(), Vector(self.space, coords)
 
     # -- inversion -------------------------------------------------------------
@@ -454,22 +458,14 @@ class CliffordElement:
                 f"supported {MAX_SOLVE_DIM}")
         field = space.field
         monos = _all_monomials(space.dim)
-        index = {s: k for k, s in enumerate(monos)}
-        cols = []
-        for s in monos:
-            img = self * CliffordElement.monomial(space, s)
-            col = [field.zero] * len(monos)
-            for u, c in img.coeffs.items():
-                col[index[u]] = c
-            cols.append(col)
-        mat = [[cols[j][i] for j in range(len(monos))]
-               for i in range(len(monos))]
+        cols = [(self * CliffordElement.monomial(space, s)).coeffs
+                for s in monos]
+        mat = [[col.get(u, field.zero) for col in cols] for u in monos]
         rhs = [field.one if not s else field.zero for s in monos]
         sol = linalg.solve(mat, rhs, field)
         if sol is None:
             raise NotInvertible(f"no inverse: {self!r}")
-        cand = CliffordElement(space,
-                               {s: c for s, c in zip(monos, sol)})
+        cand = CliffordElement(space, dict(zip(monos, sol)))
         if cand * self != CliffordElement.one(space):
             raise NotInvertible(f"only one-sided invertible: {self!r}")
         return cand
@@ -486,20 +482,34 @@ class CliffordElement:
     def embed(self, target):
         """Reindex into the algebra of an extension; indices are preserved
         because extensions append their generators after the original basis."""
-        if target == self.space:
-            return CliffordElement(target, dict(self.coeffs))
-        if not target.is_extension_of(self.space):
+        if target != self.space and not target.is_extension_of(self.space):
             raise NotASuperspace("target is not an extension")
-        return CliffordElement(target, dict(self.coeffs))
+        return CliffordElement._of(target, self.terms, self.den)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
         for s, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
             name = "*".join(f"e{i}" for i in s) if s else "1"
             bits.append(f"{c}*{name}")
         return " + ".join(bits)
+
+
+class _Coeffs(Mapping):
+    """CliffordElement.coeffs: a read-only Scalar view of the store."""
+
+    def __init__(self, x):
+        self._x = x
+
+    def __getitem__(self, s):
+        return self._x._scalar(self._x.terms[s])
+
+    def __iter__(self):
+        return iter(self._x.terms)
+
+    def __len__(self):
+        return len(self._x.terms)
 
 
 def _all_monomials(dim):
@@ -522,8 +532,7 @@ def enumerate_elements(space):
     if field.modulus is None:
         raise InfiniteField("Q cannot be enumerated")
     monos = _all_monomials(space.dim)
-    return [CliffordElement._of(space, {s: Scalar(field, v)
-                                        for s, v in zip(monos, t) if v})
+    return [CliffordElement._of(space, dict(zip(monos, t)))
             for t in residue_tuples(field.modulus, len(monos))]
 
 

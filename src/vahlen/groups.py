@@ -179,7 +179,9 @@ def _conjugation_matrix(x, kind, error):
         img = x * t * ginv
         if not lands(img, kind):
             raise error(f"conjugation leaves {PART_SPACE[kind]}: {x!r}")
-        cols.append([img.coeffs.get(s, zero) for s in monos])
+        terms = img.terms
+        cols.append([img._scalar(terms[s]) if s in terms else zero
+                     for s in monos])
     return [list(row) for row in zip(*cols)]
 
 
@@ -228,24 +230,18 @@ def CU_to_matrix(psi, base):
     """Peel the four C(V, q) components out of an element of C(V_U)."""
     n = base.dim
     e_idx, f_idx = n, n + 1
-    field = base.field
     raw = {frozenset(): {}, frozenset({e_idx}): {},
            frozenset({f_idx}): {}, frozenset({e_idx, f_idx}): {}}
-    for s, c in psi.coeffs.items():
+    for s, c in psi.terms.items():
         content = frozenset(i for i in s if i >= n)
         rest = tuple(i for i in s if i < n)
         if content not in raw:
             raise ValueError("element does not lie in the embedded C(V_U)")
         raw[content][rest] = c
-    sign = lambda s: field.one if len(s) % 2 == 0 else -field.one
-    delta = {s: sign(s) * c for s, c in raw[frozenset()].items()}
-    beta = dict(raw[frozenset({e_idx})])
-    gamma = {s: sign(s) * c for s, c in raw[frozenset({f_idx})].items()}
-    alpha = dict(raw[frozenset({e_idx, f_idx})])
-    for s, c in raw[frozenset()].items():
-        alpha[s] = alpha.get(s, field.zero) + c
-    return CMatrix2(CliffordElement(base, alpha), CliffordElement(base, beta),
-                    CliffordElement(base, gamma), CliffordElement(base, delta))
+    part = lambda *key: CliffordElement._of(base, raw[frozenset(key)], psi.den)
+    d = part()
+    return CMatrix2(part(e_idx, f_idx) + d, part(e_idx),
+                    part(f_idx).grade_involution(), d.grade_involution())
 
 
 # -- M2(C) = C(V_{U,F})+ ---------------------------------------------------------
@@ -265,7 +261,7 @@ def CUF_to_matrix(psi, base):
     if not psi.is_even():
         raise ValueError("element is not in the even subalgebra")
     r_idx = base.dim + 2
-    coeffs = {(s[:-1] if s and s[-1] == r_idx else s): c
-              for s, c in psi.coeffs.items()}
-    return CU_to_matrix(CliffordElement(base.extend_hyperbolic(), coeffs),
-                        base)
+    terms = {(s[:-1] if s and s[-1] == r_idx else s): c
+             for s, c in psi.terms.items()}
+    return CU_to_matrix(
+        CliffordElement._of(base.extend_hyperbolic(), terms, psi.den), base)

@@ -208,11 +208,11 @@ class HalfSpace:
         part = [zero] * self.part_len
         sigma_coeff = zero
         sigma, slot = (self.sigma_idx,), self._slot
-        for s, coeff in x.coeffs.items():
+        for s, n in x.terms.items():
             if s in slot:
-                part[slot[s]] = coeff
+                part[slot[s]] = x._scalar(n)
             elif s == sigma:
-                sigma_coeff = coeff
+                sigma_coeff = x._scalar(n)
             else:
                 raise InvariantViolation(
                     f"Moebius numerator has an illegal term {s}: {x!r}")

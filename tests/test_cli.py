@@ -64,9 +64,9 @@ def test_verify_corrupted_multiplication_fails(capsys, monkeypatch):
     def corrupt(self, other):
         out = true_mul(self, other)
         if isinstance(other, clifford.CliffordElement):
-            for key in out.coeffs:
+            for key in out.terms:
                 if len(key) == 2:
-                    out.coeffs[key] = -out.coeffs[key]
+                    out.terms[key] = -out.terms[key]
                     break
         return out
 

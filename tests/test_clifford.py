@@ -2,6 +2,7 @@
 embeddings, and the rho/upsilon/iota maps."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from vahlen.clifford import (CliffordElement, NotInvertible, NotScalar,
                              element_to_json, enumerate_elements, iota,
                              iota_inv, paravector_pairing, paravector_q,
                              rho_map, upsilon_element, upsilon_map)
-from vahlen.fields import InfiniteField, PrimeField, Q
+from vahlen.fields import InfiniteField, PrimeField, Q, Scalar
 from vahlen.groups import in_group
 from vahlen.quadratic import NotASuperspace, QuadraticSpace, SpaceMismatch
 
@@ -624,3 +625,155 @@ def test_enumerate_elements_matches_repeated_additions():
         assert len(elems) == p ** (2 ** len(qdiag))
     with pytest.raises(InfiniteField):
         enumerate_elements(QuadraticSpace(Q, [1]))
+
+
+# -- the integer store against Scalar-dict arithmetic ----------------------------
+#
+# The reference is the element arithmetic of the Scalar-dict store the
+# integer store replaced: every operation on the Scalar coefficients read
+# through x.coeffs, zero coefficients dropped.
+
+_PART_KEEP = {"scalar": lambda s: not s, "even": lambda s: len(s) % 2 == 0,
+              "odd": lambda s: len(s) % 2 == 1}
+
+
+def _ref_sum(x, y):
+    out = dict(x.items())
+    for s, c in y.items():
+        out[s] = out[s] + c if s in out else c
+    return {s: c for s, c in out.items() if not c.is_zero()}
+
+
+def _assert_store(got, want_coeffs):
+    """got has the reference coefficients and the canonical integer form:
+    residues in 1..p-1 over 1, or nonzero numerators over a positive den
+    sharing no factor with them (so 0 is {} over 1)."""
+    want = CliffordElement(got.space, want_coeffs)
+    assert got == want and hash(got) == hash(want)
+    assert got.coeffs == want_coeffs
+    values, p = list(got.terms.values()), got.space.field.modulus
+    assert all(type(n) is int and n for n in values)
+    assert type(got.den) is int and got.den > 0
+    if p is None:
+        assert math.gcd(got.den, *values) == 1
+    else:
+        assert got.den == 1 and all(0 < n < p for n in values)
+
+
+def _check_unary(x, multipliers):
+    field, ref = x.space.field, dict(x.coeffs.items())
+    _assert_store(-x, {s: -c for s, c in ref.items()})
+    _assert_store(x.grade_involution(),
+                  {s: -c if len(s) % 2 else c for s, c in ref.items()})
+    for kind, keep in _PART_KEEP.items():
+        _assert_store(x.part(kind),
+                      {s: c for s, c in ref.items() if keep(s)})
+    for k in multipliers:
+        want = {s: c * field.element(k) for s, c in ref.items()}
+        want = {s: c for s, c in want.items() if not c.is_zero()}
+        _assert_store(x * k, want)
+        _assert_store(k * x, want)
+
+
+def _check_pair(x, y):
+    rx, ry = dict(x.coeffs.items()), dict(y.coeffs.items())
+    _assert_store(x + y, _ref_sum(rx, ry))
+    _assert_store(x - y, _ref_sum(rx, {s: -c for s, c in ry.items()}))
+    assert (x == y) == (rx == ry)
+    if rx == ry:
+        assert hash(x) == hash(y)
+
+
+def test_store_matches_scalar_reference_gf3_dim_le_1():
+    """Every ordered pair of elements of every GF(3) form of dim <= 1."""
+    for qdiag in ([], [0], [1], [2]):
+        elems = enumerate_elements(QuadraticSpace(F3, qdiag))
+        for x in elems:
+            _check_unary(x, (0, 1, 2, F3.element(2), Fraction(1, 2)))
+            for y in elems:
+                _check_pair(x, y)
+                _assert_store((x + y) - y, dict(x.coeffs.items()))
+
+
+def test_store_matches_scalar_reference_gf3_dim_2():
+    """Every element of each GF(3) dim-2 form against 8 seeded partners."""
+    rng = random.Random(67)
+    for q0, q1, pair in itertools.product(range(3), repeat=3):
+        elems = enumerate_elements(
+            QuadraticSpace(F3, [q0, q1], {(0, 1): pair}))
+        for x in elems:
+            _check_unary(x, (2,))
+            for y in rng.sample(elems, 8):
+                _check_pair(x, y)
+
+
+def test_store_matches_scalar_reference_over_q():
+    """200 seeded pairs on the dim-4 verify-q space, with coefficient
+    denominators 1, 2, 3, 4 and 6; half of the partners cancel x down to
+    one monomial, so the sum must reduce its denominator."""
+    V = QuadraticSpace(Q, *VERIFY_Q)
+    monos = all_monomials(V)
+    rng = random.Random(71)
+
+    def draw():
+        return CliffordElement(V, {
+            s: Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)),
+                        rng.choice((1, 2, 3, 4, 6)))
+            for s in monos if rng.random() < 0.4})
+
+    for i in range(200):
+        x = draw()
+        y = draw()
+        if i % 2:
+            y = CliffordElement.monomial(V, rng.choice(monos),
+                                         Fraction(1, 6)) - x
+        _check_pair(x, y)
+        _check_unary(x, (Fraction(-2, 3), Q.element(Fraction(3, 4)), 6, 0))
+
+
+def test_store_explicit_cases():
+    V = QuadraticSpace(Q, *VERIFY_Q)
+    x = CliffordElement(V, {(): Fraction(1, 2), (0, 1): Fraction(-3, 4),
+                            (2,): 5, (0, 2, 3): Fraction(2, 3)})
+    y = (x * Fraction(1, 3)) * 3
+    assert y == x and hash(y) == hash(x) and y.den == x.den == 12
+    assert x.part("even") + x.part("odd") == x
+    even = CliffordElement(V, {(0,): Fraction(1, 2), (): 3}).part("even")
+    assert even == 3 and even.den == 1 and even.terms == {(): 3}
+    assert (x - x).terms == {} and (x - x).den == 1
+    half, two_quarters = (element_from_json(V, [{"indices": [0], "coeff": c}])
+                          for c in ("1/2", "2/4"))
+    assert two_quarters == half and hash(two_quarters) == hash(half)
+    assert two_quarters.den == 2 and two_quarters.terms == {(0,): 1}
+    W = QuadraticSpace(F3, [1, 2])
+    z = CliffordElement(W, {(): 2, (0, 1): Fraction(1, 2)})
+    assert z.terms == {(): 2, (0, 1): 2} and z.den == 1
+    assert (z * 2) * 2 == z and -(-z) == z
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(5)], ids=repr)
+def test_store_arithmetic_builds_no_scalars(field, monkeypatch):
+    """Products, transposes, +, -, scalar *, the involutions, parts,
+    equality, hashing and the keys and length of coeffs run on the integer
+    store alone; only reading a coefficient builds a Scalar."""
+    V = QuadraticSpace(field, *VERIFY_Q)
+    x = CliffordElement(V, {(): 2, (0, 1): Fraction(1, 2), (2, 3): -3})
+    y = CliffordElement(V, {(1,): Fraction(2, 3), (0, 2, 3): 1})
+    k = field.element(3)
+    V.raw  # the space's raw form is built once, from its Scalars
+    built = []
+    real_init = Scalar.__init__
+
+    def counting_init(self, f, value):
+        built.append(value)
+        real_init(self, f, value)
+
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    results = [x * y, x.transpose(), x + y, x - y, -x, x * k, k * x,
+               x * Fraction(1, 2), 3 * x, x + 1, x.grade_involution(),
+               x.conj(), x.part("even"), x.part("odd"), x.part("scalar")]
+    assert x != y and x * 1 == x and x.norm() == x * x.conj()
+    assert len({hash(r) for r in results}) > 1
+    assert list(x.coeffs) == list(x.terms) and len(y.coeffs) == 2
+    assert built == []
+    assert x.coeffs[(0, 1)] == Fraction(1, 2) and len(built) == 1
