@@ -52,8 +52,8 @@ from .quadratic import QuadraticSpace
 
 
 # the _census_work an orbit census may reach: the GF(11) dim-2 paravector
-# census (_census_work 1.23e6) takes 40 s and the GF(7) dim-3 one (0.91e6)
-# 36 s (2-vCPU Xeon VM, Python 3.11)
+# census at c = 1 (_census_work 1.23e6) takes 19-25 s and the GF(7) dim-3
+# one (0.91e6) 26-29 s (2-vCPU Xeon VM, Python 3.11)
 MAX_CENSUS_WORK = 2 * 10**6
 
 
@@ -399,9 +399,6 @@ class HalfSpace:
         return ((t, tuple(Scalar(field, v) for v in t))
                 for t in self._residues(self.part_len))
 
-    def _all_parts(self):
-        return [part for _, part in self._parts()]
-
     def enumerate_points(self, max_points=10**6):
         parts = self._parts()  # InfiniteField over Q, before p is read
         p = self.field.modulus
@@ -429,9 +426,15 @@ class HalfSpace:
                 if form.q(t) == c and not form.in_radical(t)]
 
     def census_generators(self, group):
-        """Generators used by the orbit BFS: basis translations, the Weyl
-        matrix, diag(1/d, d), norm-realizing diagonals, and (full group only)
-        all dilations."""
+        """Generators used by the orbit BFS: the basis translations T(e_k),
+        the Weyl matrix W = (0, -1; 1, 0), diag(1/d, d) for every nonzero d,
+        and (full group only) every dilation.
+
+        Over GF(p) the basis translations generate T(u) for every part u,
+        so the generated group holds diag(x, 1/x) = T(x) W T(1/x) W T(x)
+        W^-1 for every invertible part x, and every Vahlen matrix (A, B;
+        d, D) of pseudo-determinant 1 with d a nonzero scalar, which is
+        T(A/d) W diag(d, 1/d) T(D/d)."""
         space = self.space
         gens = [translation(space, self.kind, xi)
                 for xi in probe_elements(space, self.kind)]
@@ -439,18 +442,6 @@ class HalfSpace:
         nonzero = [s for s in self.field.elements() if not s.is_zero()]
         for d in nonzero:
             gens.append(_diag(space, d.inverse(), d))
-        seen_norms = set()
-        q = self.part_space.raw.q
-        for t, part in self._parts():
-            value = q(t)
-            if not value or value in seen_norms:
-                continue
-            seen_norms.add(value)
-            delta = self.part_element(part)
-            scale = (-self.field.element(value)).inverse()
-            gens.append(CMatrix2(delta.grade_involution() * scale,
-                                 CliffordElement.zero(space),
-                                 CliffordElement.zero(space), delta))
         if group == "full":
             for a in nonzero:
                 gens.append(dilation(space, a))
@@ -473,32 +464,15 @@ class HalfSpace:
             frontier = new
         return seen
 
-    def _transitivity_witness(self, a):
-        """The matrix (-a xi, -(1+a q(xi))/d; d, xi) built from a regular
-        point of q^c-value -1/a, sending sigma_c to a sigma_c."""
-        field = self.field
-        p, c, q = field.modulus, self.c.value, self.part_space.raw.q
-        target = (-a.inverse()).value
-        for t, part in self._parts():
-            qt = q(t)
-            for dv in range(1, p):
-                if (qt - c * dv * dv - target) % p == 0:
-                    xi, d = self.part_element(part), Scalar(field, dv)
-                    space = self.space
-                    beta = -(1 + a * self.part_q(part)) / d
-                    m = CMatrix2(xi * (-a),
-                                 CliffordElement.scalar(space, beta),
-                                 CliffordElement.scalar(space, d), xi)
-                    if is_vahlen(m, self.kind) and \
-                            self._det(m) == self.field.one:
-                        return m
-        return None
-
     def _census_work(self):
         """A bound on the Moebius applications of one census sweep: points
-        <= p^n (2p - 1), for n = part_len, times generators <= n + 1 +
-        4(p - 1) (translations, Weyl, diagonals, norm diagonals, dilations,
-        witnesses).  The K-set scan of p^(n + 2) vectors is below it."""
+        <= p^n (2p - 1), for n = part_len, times n + 1 + 4(p - 1).  The
+        census applies at most n + 1 + 2(p - 1) generators (translations,
+        Weyl, diag(1/d, d), dilations).  The other 2(p - 1), once allowed
+        for norm diagonals and transitivity witnesses, are slack, kept so
+        that MAX_CENSUS_WORK admits the same configurations until the guard
+        is measured again.  The K-set scan of p^(n + 2) vectors is below
+        it."""
         p, n = self._modulus(), self.part_len
         return p ** n * (2 * p - 1) * (n + 1 + 4 * (p - 1))
 
@@ -520,22 +494,6 @@ class HalfSpace:
         represented = boundary_count > 0
 
         base_orbit = self._orbit(base, gens)
-        if represented and group == "special" and \
-                len(base_orbit) < len(points):
-            # construct the proof witnesses sigma_c -> a sigma_c on demand
-            extra = []
-            for a in self.field.elements():
-                if a.is_zero():
-                    continue
-                target = self.regular_point(self.zero_part(), a)
-                if target not in base_orbit:
-                    witness = self._transitivity_witness(a)
-                    if witness is not None:
-                        extra.append(witness)
-            if extra:
-                gens = gens + extra
-                base_orbit = self._orbit(base, gens)
-
         orbits = [base_orbit]
         remaining = point_set - base_orbit
         while remaining:

@@ -9,12 +9,12 @@ import pytest
 
 from vahlen import halfspace
 from vahlen.clifford import CliffordElement
-from vahlen.fields import PrimeField, Q
-from vahlen.groups import CMatrix2
+from vahlen.fields import PrimeField, Q, Scalar
+from vahlen.groups import CMatrix2, probe_elements
 from vahlen.halfspace import (HalfSpace, InvariantViolation,
                               point_from_json, point_to_json)
-from vahlen.matrices import (NotVahlen, TooLarge, dilation, pseudo_det,
-                             random_vahlen, translation, weyl)
+from vahlen.matrices import (NotVahlen, TooLarge, dilation, is_vahlen,
+                             pseudo_det, random_vahlen, translation, weyl)
 from vahlen.quadratic import QuadraticSpace
 from vahlen.suites import boundary_parts
 
@@ -441,13 +441,13 @@ def _halfspaces(field, max_dim):
 # the orbit configurations of the census benchmark, with the (point,
 # generator) pairs each special-group census applies
 CENSUS_CONFIGS = [
-    (5, [1, 1], {}, "paravector", 1, 7800),
-    (7, [1, 1], {}, "vector", 1, 5250),
-    (7, [1], {}, "paravector", 2, 5040),
-    (5, [1, 0], {(0, 1): 1}, "vector", 1, 1320),
-    (3, [1, 0], {(0, 1): 1}, "paravector", 1, 576),
-    (3, [1, 0, 1], {}, "paravector", -1, 1944),
-    (5, [1], {}, "vector", 0, 192),
+    (5, [1, 1], {}, "paravector", 1, 5200),
+    (7, [1, 1], {}, "vector", 1, 3150),
+    (7, [1], {}, "paravector", 2, 3024),
+    (5, [1, 0], {(0, 1): 1}, "vector", 1, 840),
+    (3, [1, 0], {(0, 1): 1}, "paravector", 1, 432),
+    (3, [1, 0, 1], {}, "paravector", -1, 1512),
+    (5, [1], {}, "vector", 0, 144),
 ]
 
 
@@ -510,7 +510,8 @@ def test_census_computes_each_pseudo_det_once(monkeypatch):
 
     monkeypatch.setattr(halfspace, "pseudo_det", counting_det)
     monkeypatch.setattr(HalfSpace, "census_generators", recording_generators)
-    # the second searches for transitivity witnesses, each a fresh matrix
+    # the second has two special-group orbits, so every generator serves
+    # two orbit closures on one kept pseudo-determinant
     for p, qdiag, pairs, kind, c, _ in (CENSUS_CONFIGS[4],
                                         CENSUS_CONFIGS[6]):
         h = _census_halfspace(p, qdiag, pairs, kind, c)
@@ -560,7 +561,122 @@ def test_census_applies_each_generator_once_per_point(monkeypatch):
         assert applied[id(h)] == report["point_count"] * len(gens)
         assert applied[id(h)] == pairs_applied
         total += applied[id(h)]
-    assert total == 22122
+    assert total == 14302
+
+
+# -- census generators without redundancy --------------------------------------
+#
+# The references below are the census generators and the transitivity-witness
+# search as the census ran them while it also closed orbits under the norm
+# diagonals and under any witness it found.  Every norm diagonal and every
+# witness is a product of the translations, the Weyl matrix and the scalar
+# diagonals; the first test after them checks that matrix by matrix.
+
+
+def _norm_diagonals_reference(h):
+    """(delta' / -q(delta), 0; 0, delta) for the first part delta of each
+    nonzero q-value, in numeral order."""
+    space, seen, gens = h.space, set(), []
+    q = h.part_space.raw.q
+    for t, part in h._parts():
+        value = q(t)
+        if not value or value in seen:
+            continue
+        seen.add(value)
+        delta = h.part_element(part)
+        scale = (-h.field.element(value)).inverse()
+        gens.append(CMatrix2(delta.grade_involution() * scale,
+                             CliffordElement.zero(space),
+                             CliffordElement.zero(space), delta))
+    return gens
+
+
+def _census_generators_reference(h, group):
+    """Basis translations, Weyl, diag(1/d, d), the norm diagonals and (full
+    group only) every dilation."""
+    space = h.space
+    gens = [translation(space, h.kind, xi)
+            for xi in probe_elements(space, h.kind)]
+    gens.append(weyl(space))
+    nonzero = [s for s in h.field.elements() if not s.is_zero()]
+    for d in nonzero:
+        gens.append(halfspace._diag(space, d.inverse(), d))
+    gens.extend(_norm_diagonals_reference(h))
+    if group == "full":
+        for a in nonzero:
+            gens.append(dilation(space, a))
+    for g in gens:
+        if not is_vahlen(g, h.kind):
+            raise AssertionError("census generator failed Vahlen check")
+    return gens
+
+
+def _transitivity_witness_reference(h, a):
+    """Every matrix (-a xi, -(1 + a q(xi))/d; d, xi), built from a regular
+    point of q^c-value -1/a, that is Vahlen of pseudo-determinant 1, in the
+    order the search tried them; the census took the first."""
+    field, space = h.field, h.space
+    p, c, q = field.modulus, h.c.value, h.part_space.raw.q
+    target = (-a.inverse()).value
+    for t, part in h._parts():
+        qt = q(t)
+        for dv in range(1, p):
+            if (qt - c * dv * dv - target) % p == 0:
+                xi, d = h.part_element(part), Scalar(field, dv)
+                beta = -(1 + a * h.part_q(part)) / d
+                m = CMatrix2(xi * (-a), CliffordElement.scalar(space, beta),
+                             CliffordElement.scalar(space, d), xi)
+                if is_vahlen(m, h.kind) and \
+                        pseudo_det(m, h.kind) == field.one:
+                    yield m
+
+
+def test_dropped_generators_lie_in_the_generated_group():
+    """On every GF(3) half-space of dim <= 2 and GF(5) half-space of dim
+    <= 1, both kinds: each norm diagonal diag(x, 1/x) is T(x) W T(1/x) W
+    T(x) W^3, and each witness (A, B; d, D) of each nonzero a is T(A/d) W
+    diag(d, 1/d) T(D/d), with diag(d, 1/d) a census generator."""
+    diagonals = witnesses = 0
+    for field, max_dim in ((F3, 2), (F5, 1)):
+        for h in _halfspaces(field, max_dim):
+            space, kind = h.space, h.kind
+            w = weyl(space)
+            w3 = w * w * w
+            one = CliffordElement.one(space)
+            gens = h.census_generators("special")
+            for m in _norm_diagonals_reference(h):
+                x, x_inv = m.a, m.d
+                assert x * x_inv == one
+                assert m == (translation(space, kind, x) * w
+                             * translation(space, kind, x_inv) * w
+                             * translation(space, kind, x) * w3)
+                diagonals += 1
+            for a in field.elements():
+                if a.is_zero():
+                    continue
+                for m in _transitivity_witness_reference(h, a):
+                    d = m.c.to_scalar()
+                    diag = halfspace._diag(space, d, d.inverse())
+                    assert diag in gens
+                    assert m == (translation(space, kind, m.a * d.inverse())
+                                 * w * diag
+                                 * translation(space, kind,
+                                               m.d * d.inverse()))
+                    witnesses += 1
+    assert (diagonals, witnesses) == (455, 2856)
+
+
+def test_census_matches_reference_generators(monkeypatch):
+    """Every GF(3) form of dim <= 1 for every c, both kinds and both groups,
+    and two benchmark configurations: the census reports are equal under
+    the reference generators."""
+    halfspaces = list(_halfspaces(F3, 1))
+    halfspaces += [_census_halfspace(*CENSUS_CONFIGS[i][:5]) for i in (4, 6)]
+    groups = ("special", "full")
+    reports = [h.orbit_census(g) for h in halfspaces for g in groups]
+    monkeypatch.setattr(HalfSpace, "census_generators",
+                        _census_generators_reference)
+    assert reports == [h.orbit_census(g) for h in halfspaces for g in groups]
 
 
 def test_kept_entries_follow_the_target_algebra():
@@ -807,12 +923,12 @@ def _check_action(h, m, p):
 
 
 def test_action_path_matches_references_over_gf3():
-    """Every (special census generator, point) pair of every GF(3)
-    half-space of dim <= 1: every qdiag, every c and both kinds."""
+    """Every (reference special census generator, point) pair of every
+    GF(3) half-space of dim <= 1: every qdiag, every c and both kinds."""
     cases = Counter()
     for h in _halfspaces(F3, 1):
         points = h.enumerate_points()
-        for g in h.census_generators("special"):
+        for g in _census_generators_reference(h, "special"):
             for p in points:
                 cases[_check_action(h, g, p)] += 1
     assert cases == {"rr": 1360, "rb": 80, "br": 80, "bb": 578}
