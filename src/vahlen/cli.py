@@ -82,16 +82,10 @@ def build_config(args):
                      as_json=args.json)
 
 
-def _emit(report, as_json):
-    if as_json:
-        print(json.dumps(report, sort_keys=True))
-    return report
-
-
 def cmd_verify(config):
     report = run_verify(config)
     if config.as_json:
-        _emit(report, True)
+        print(json.dumps(report, sort_keys=True))
     else:
         for prop in report["properties"]:
             mark = "PASS" if prop["passed"] else "FAIL"
@@ -110,7 +104,7 @@ def cmd_enumerate(config):
     except (InfiniteField, TooLarge) as exc:
         raise ConfigError(str(exc)) from exc
     if config.as_json:
-        _emit(report, True)
+        print(json.dumps(report, sort_keys=True))
     else:
         for name, count in sorted(report["counts"].items()):
             print(f"{name}: {count} of {report['matrix_count']} matrices")
@@ -158,7 +152,7 @@ def cmd_orbit(config, group):
     except (InfiniteField, TooLarge) as exc:
         raise ConfigError(str(exc)) from exc
     if config.as_json:
-        _emit(report, True)
+        print(json.dumps(report, sort_keys=True))
     else:
         for key in ("kind", "group", "c", "represented", "point_count",
                     "k_count", "orbit_count", "transitive"):

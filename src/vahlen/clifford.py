@@ -191,9 +191,8 @@ class CliffordElement:
 
     def __new__(cls, space, coeffs):
         """From a map monomial -> Scalar, int or Fraction."""
-        field = space.field
-        vals = [(s, field.element(c).value if isinstance(c, Scalar)
-                 else field._coerce(c)) for s, c in coeffs.items()]
+        raw = space.field.raw
+        vals = [(s, raw(c)) for s, c in coeffs.items()]
         den = lcm(*(v.denominator for _, v in vals))
         return cls._of(space, {s: v.numerator * (den // v.denominator)
                                for s, v in vals}, den)
@@ -287,9 +286,7 @@ class CliffordElement:
 
     def __mul__(self, other):
         if not isinstance(other, CliffordElement):
-            field = self.space.field
-            k = (field.element(other).value if isinstance(other, Scalar)
-                 else field._coerce(other))
+            k = self.space.field.raw(other)
             return CliffordElement._of(
                 self.space, {s: n * k.numerator for s, n in self.terms.items()},
                 self.den * k.denominator)
@@ -325,9 +322,6 @@ class CliffordElement:
         return (isinstance(other, CliffordElement)
                 and other.space == self.space and other.den == self.den
                 and other.terms == self.terms)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         # computed on first use: elements are hashed again and again as

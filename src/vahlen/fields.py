@@ -2,6 +2,15 @@
 
 Every scalar is an immutable value tied to its field; there is no floating
 point anywhere, and fields of characteristic 2 are rejected at construction.
+
+A scalar holds a raw value: a reduced Fraction over Q, a residue in 0..p-1
+over GF(p).  One Field method, `raw`, turns a Scalar of the field, an int or
+a Fraction into a raw value and refuses another field's Scalar; `element`
+and the Clifford layer call it, and only `Scalar._other`, which every scalar
+operation runs, repeats its field check inline.  One Scalar helper, `_new`,
+builds the results of +, - and *, reducing mod p over GF(p).  The only
+per-field arithmetic is `_coerce` and `_div`, whose zero test and inverse
+differ between the fields.
 """
 
 from __future__ import annotations
@@ -97,13 +106,18 @@ def sqrt_mod(a, p):
 class Field:
     """Common interface of the two supported exact fields."""
 
+    def raw(self, value):
+        """The raw value of an int, a Fraction or a Scalar of this field."""
+        if isinstance(value, Scalar):
+            if value.field is not self and value.field != self:
+                raise FieldMismatch(f"scalar of {value.field} used in {self}")
+            return value.value
+        return self._coerce(value)
+
     def element(self, value):
         """Coerce an int, Fraction, or Scalar of this field to a Scalar."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch(f"scalar of {value.field} used in {self}")
-            return value
-        return Scalar(self, self._coerce(value))
+        v = self.raw(value)
+        return value if isinstance(value, Scalar) else Scalar(self, v)
 
     # scalars are never changed once built, so each field shares one 0 and 1
     @cached_property
@@ -123,9 +137,6 @@ class Field:
             raise ValueError(
                 f"{text!r} has a zero denominator in {self!r}") from None
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
 
 class Rationals(Field):
     """The field Q, backed by arbitrary-precision fractions."""
@@ -135,22 +146,10 @@ class Rationals(Field):
     def _coerce(self, value):
         return Fraction(value)
 
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
     def _div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
         return a / b
-
-    def _neg(self, a):
-        return -a
 
     def is_square(self, x):
         """x in (Q^x)^2: positive with square numerator and denominator."""
@@ -192,22 +191,10 @@ class PrimeField(Field):
                              value.denominator % self.modulus)
         return value % self.modulus
 
-    def _add(self, a, b):
-        return (a + b) % self.modulus
-
-    def _sub(self, a, b):
-        return (a - b) % self.modulus
-
-    def _mul(self, a, b):
-        return (a * b) % self.modulus
-
     def _div(self, a, b):
         if b % self.modulus == 0:
             raise ZeroDivisionError(f"division by zero in GF({self.modulus})")
         return (a * pow(b, -1, self.modulus)) % self.modulus
-
-    def _neg(self, a):
-        return (-a) % self.modulus
 
     def is_square(self, x):
         """Euler's criterion: x^((p-1)/2) = 1."""
@@ -255,18 +242,24 @@ class Scalar:
 
     def _other(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(f"{self.field} vs {other.field}")
             return other.value
         if isinstance(other, (int, Fraction)):
             return self.field._coerce(other)
         return NotImplemented
 
+    def _new(self, v):
+        """The Scalar of this field with the raw value v, reduced mod p."""
+        field = self.field
+        p = field.modulus
+        return Scalar(field, v if p is None else v % p)
+
     def __add__(self, other):
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._add(self.value, v))
+        return self._new(self.value + v)
 
     __radd__ = __add__
 
@@ -274,19 +267,19 @@ class Scalar:
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._sub(self.value, v))
+        return self._new(self.value - v)
 
     def __rsub__(self, other):
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._sub(v, self.value))
+        return self._new(v - self.value)
 
     def __mul__(self, other):
         v = self._other(other)
         if v is NotImplemented:
             return NotImplemented
-        return Scalar(self.field, self.field._mul(self.value, v))
+        return self._new(self.value * v)
 
     __rmul__ = __mul__
 
@@ -303,7 +296,7 @@ class Scalar:
         return Scalar(self.field, self.field._div(v, self.value))
 
     def __neg__(self):
-        return Scalar(self.field, self.field._neg(self.value))
+        return self._new(-self.value)
 
     def __pow__(self, n):
         out = self.field.one
@@ -316,7 +309,7 @@ class Scalar:
         return out
 
     def inverse(self):
-        return Scalar(self.field, self.field._div(self.field._coerce(1), self.value))
+        return Scalar(self.field, self.field._div(1, self.value))
 
     def is_zero(self):
         return self.value == 0
@@ -332,12 +325,6 @@ class Scalar:
         if v is NotImplemented:
             return NotImplemented
         return self.value == v
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
 
     def __hash__(self):
         return hash((self.field, self.value))

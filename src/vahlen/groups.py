@@ -74,9 +74,6 @@ class CMatrix2:
                 and self.b == other.b and self.c == other.c
                 and self.d == other.d)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.a, self.b, self.c, self.d))
 

@@ -79,9 +79,6 @@ class HPoint:
         return (isinstance(other, HPoint) and other.boundary == self.boundary
                 and other.part == self.part and other.height == self.height)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.boundary, self.part, self.height))
 

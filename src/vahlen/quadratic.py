@@ -164,9 +164,6 @@ class QuadraticSpace:
                 and self.qdiag == other.qdiag
                 and self.pairs == other.pairs)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.field, self.qdiag,
                      tuple(sorted(self.pairs.items()))))
@@ -262,9 +259,6 @@ class Vector:
     def __eq__(self, other):
         return (isinstance(other, Vector) and other.space == self.space
                 and other.coords == self.coords)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.coords)

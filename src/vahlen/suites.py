@@ -46,10 +46,6 @@ def _random_matrix(space, rng):
     return CMatrix2(*(_random_element(space, rng) for _ in range(4)))
 
 
-def _elt_json(x):
-    return element_to_json(x)
-
-
 # -- algebra law suite -------------------------------------------------------
 
 
@@ -81,16 +77,16 @@ def algebra_suite(config):
         for _ in range(config.samples):
             x, y, z = (_random_element(space, rng) for _ in range(3))
             if (x * y) * z != x * (y * z):
-                return {"x": _elt_json(x), "y": _elt_json(y),
-                        "z": _elt_json(z)}
+                return {"x": element_to_json(x), "y": element_to_json(y),
+                        "z": element_to_json(z)}
         return None
 
     def distributivity(_):
         for _ in range(config.samples):
             x, y, z = (_random_element(space, rng) for _ in range(3))
             if x * (y + z) != x * y + x * z:
-                return {"x": _elt_json(x), "y": _elt_json(y),
-                        "z": _elt_json(z)}
+                return {"x": element_to_json(x), "y": element_to_json(y),
+                        "z": element_to_json(z)}
         return None
 
     def pairing_grade_identity(_):
@@ -114,7 +110,7 @@ def algebra_suite(config):
             rhs = CliffordElement.scalar(space,
                                          -paravector_pairing(xi, eta))
             if lhs != rhs:
-                return {"xi": _elt_json(xi), "eta": _elt_json(eta)}
+                return {"xi": element_to_json(xi), "eta": element_to_json(eta)}
         return None
 
     def paravector_norm(_):
@@ -122,7 +118,7 @@ def algebra_suite(config):
             xi = random_paravector(space, rng)
             if xi.norm() != CliffordElement.scalar(space,
                                                    -paravector_q(xi)):
-                return {"xi": _elt_json(xi)}
+                return {"xi": element_to_json(xi)}
         return None
 
     def inverse_roundtrip(_):
@@ -134,7 +130,7 @@ def algebra_suite(config):
             except ArithmeticError:
                 continue
             if x * xi != one or xi * x != one:
-                return {"x": _elt_json(x)}
+                return {"x": element_to_json(x)}
         return None
 
     checks.append(("vector_square_is_q", vector_square))
@@ -161,21 +157,21 @@ def involution_suite(config):
             x = _random_element(space, rng)
             for kind in ("grade", "transpose", "conj"):
                 if x.involution(kind).involution(kind) != x:
-                    return {"x": _elt_json(x), "involution": kind}
+                    return {"x": element_to_json(x), "involution": kind}
         return None
 
     def antihomomorphisms(_):
         for _ in range(config.samples):
             x, y = _random_element(space, rng), _random_element(space, rng)
             if (x * y).transpose() != y.transpose() * x.transpose():
-                return {"x": _elt_json(x), "y": _elt_json(y),
+                return {"x": element_to_json(x), "y": element_to_json(y),
                         "involution": "transpose"}
             if (x * y).conj() != y.conj() * x.conj():
-                return {"x": _elt_json(x), "y": _elt_json(y),
+                return {"x": element_to_json(x), "y": element_to_json(y),
                         "involution": "conj"}
             if ((x * y).grade_involution()
                     != x.grade_involution() * y.grade_involution()):
-                return {"x": _elt_json(x), "y": _elt_json(y),
+                return {"x": element_to_json(x), "y": element_to_json(y),
                         "involution": "grade"}
         return None
 
@@ -185,7 +181,7 @@ def involution_suite(config):
             gt = x.grade_involution().transpose()
             tg = x.transpose().grade_involution()
             if gt != tg or gt != x.conj():
-                return {"x": _elt_json(x)}
+                return {"x": element_to_json(x)}
         return None
 
     def norm_multiplicativity(_):
@@ -196,7 +192,7 @@ def involution_suite(config):
             if not ny.is_scalar():
                 continue
             if (x * y).norm() != x.norm() * ny:
-                return {"x": _elt_json(x), "y": _elt_json(y)}
+                return {"x": element_to_json(x), "y": element_to_json(y)}
         return None
 
     return [("involutions_square_to_identity", squares_to_identity),
@@ -278,9 +274,9 @@ def iso_suite(config):
         for _ in range(config.samples):
             x, y = _random_element(space, rng), _random_element(space, rng)
             if rho_map(x * y, vuf) != rho_map(x, vuf) * rho_map(y, vuf):
-                return {"x": _elt_json(x), "y": _elt_json(y)}
+                return {"x": element_to_json(x), "y": element_to_json(y)}
             if rho_map(x.conj(), vuf) != rho_map(x, vuf).conj():
-                return {"x": _elt_json(x), "reason": "conj"}
+                return {"x": element_to_json(x), "reason": "conj"}
         return None
 
     def upsilon_relations(_):
@@ -290,13 +286,15 @@ def iso_suite(config):
             x = _random_element(space, rng)
             xr, xu = rho_map(x, vuf), upsilon_map(x, vuf)
             if xu * e != xr * e:
-                return {"x": _elt_json(x), "relation": "x_u e = x_rho e"}
+                return {"x": element_to_json(x), "relation": "x_u e = x_rho e"}
             if xu * f != rho_map(x.grade_involution(), vuf) * f:
-                return {"x": _elt_json(x), "relation": "x_u f = x'_rho f"}
+                return {"x": element_to_json(x),
+                        "relation": "x_u f = x'_rho f"}
             if e * xu != rho_map(x.grade_involution(), vuf) * e:
-                return {"x": _elt_json(x), "relation": "e x_u = x'_rho e"}
+                return {"x": element_to_json(x),
+                        "relation": "e x_u = x'_rho e"}
             if upsilon_map(x.transpose(), vuf) != xu.transpose():
-                return {"x": _elt_json(x), "relation": "(x*)_u = (x_u)*"}
+                return {"x": element_to_json(x), "relation": "(x*)_u = (x_u)*"}
         return None
 
     def iota_properties(_):
@@ -305,11 +303,12 @@ def iso_suite(config):
             xi = random_paravector(space, rng)
             img = iota(xi, vuf)
             if img.q() != paravector_q(xi):
-                return {"xi": _elt_json(xi), "reason": "q value"}
+                return {"xi": element_to_json(xi), "reason": "q value"}
             if CliffordElement.from_vector(img) != -(rho_map(xi, vuf) * rho):
-                return {"xi": _elt_json(xi), "reason": "iota = -xi_rho rho"}
+                return {"xi": element_to_json(xi),
+                        "reason": "iota = -xi_rho rho"}
             if iota_inv(img, space) != xi:
-                return {"xi": _elt_json(xi), "reason": "roundtrip"}
+                return {"xi": element_to_json(xi), "reason": "roundtrip"}
         return None
 
     return [("m2_to_cu_roundtrip_and_multiplicativity", cu_roundtrip_and_mult),
@@ -388,7 +387,7 @@ def vahlen_suite(config):
                     rhs = -paravector_pairing(t, vec)
                 if lhs != CliffordElement.scalar(space, rhs):
                     return {"matrix": matrix_to_json(m),
-                            "test": _elt_json(t)}
+                            "test": element_to_json(t)}
         return None
 
     return [("four_conditions_agree_on_samples", conditions_agree),

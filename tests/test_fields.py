@@ -1,6 +1,7 @@
 """Exact field arithmetic over Q and GF(p)."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vahlen.fields import (PRIME_BOUND, FieldMismatch, InfiniteField,
-                           PrimeField, Q, _is_prime, parse_field,
+                           PrimeField, Q, Scalar, _is_prime, parse_field,
                            residue_tuples, sqrt_mod)
 
 F3 = PrimeField(3)
@@ -48,6 +49,113 @@ def test_field_mismatch():
         F3.one + F5.one
     with pytest.raises(FieldMismatch):
         Q.one * F3.one
+
+
+TABLE_FIELDS = (Q, F3, F5)
+TABLE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv}
+# numerators and denominators are units mod 5; -3/4 is 0 in GF(3)
+TABLE_NUMBERS = (0, 1, -2, 7, Fraction(1, 2), Fraction(-3, 4))
+
+
+def _residue(field, q):
+    """Reference raw value of the rational q: q itself over Q, its residue
+    mod p over GF(p)."""
+    q = Fraction(q)
+    if field.modulus is None:
+        return q
+    p = field.modulus
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def _reference(field, name, a, b):
+    """Reference raw value of a <name> b on raw values a and b."""
+    if field.modulus is None:
+        return TABLE_OPS[name](a, b)
+    p = field.modulus
+    if name == "/":
+        return a * pow(b, -1, p) % p
+    return TABLE_OPS[name](a, b) % p
+
+
+def _operands(field, b):
+    """b as a Scalar of the field, as an int when it is one, and as a
+    Fraction."""
+    out = [field.element(b), Fraction(b)]
+    if isinstance(b, int):
+        out.append(b)
+    return out
+
+
+def _check_scalar(field, got, want):
+    assert isinstance(got, Scalar) and got.field == field
+    assert got.value == want
+    assert type(got.value) is (Fraction if field.modulus is None else int)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_scalar_operator_table(field):
+    """Every binary operator in both operand orders, with Scalar, int and
+    Fraction operands, and unary minus, against raw references."""
+    for a in TABLE_NUMBERS:
+        x, ra = field.element(a), _residue(field, a)
+        _check_scalar(field, -x, _reference(field, "-", 0, ra))
+        for b in TABLE_NUMBERS:
+            rb = _residue(field, b)
+            for y in _operands(field, b):
+                for name, op in TABLE_OPS.items():
+                    for left, right, u, v in ((x, y, ra, rb), (y, x, rb, ra)):
+                        if name == "/" and v == 0:
+                            with pytest.raises(ZeroDivisionError):
+                                op(left, right)
+                        else:
+                            _check_scalar(field, op(left, right),
+                                          _reference(field, name, u, v))
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_scalar_equality_table(field):
+    one, two = field.element(1), field.element(2)
+    for same in (field.element(1), 1, Fraction(1)):
+        assert one == same and same == one
+        assert not one != same and not same != one
+    for other in (two, 2, Fraction(2)):
+        assert one != other and other != one
+        assert not one == other and not other == one
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_scalar_operators_refuse_another_field(field):
+    ops = (*TABLE_OPS.values(), operator.eq, operator.ne)
+    for other in TABLE_FIELDS:
+        if other == field:
+            continue
+        x, y = field.element(2), other.element(2)
+        for op in ops:
+            with pytest.raises(FieldMismatch):
+                op(x, y)
+            with pytest.raises(FieldMismatch):
+                op(y, x)
+
+
+def test_scalar_against_a_foreign_object():
+    assert (Q.one == "1") is False
+    assert (Q.one != "1") is True
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=repr)
+def test_raw_coerces_scalars_ints_and_fractions(field):
+    for a in TABLE_NUMBERS:
+        for value in _operands(field, a):
+            assert field.raw(value) == _residue(field, a)
+        x = field.element(a)
+        assert field.element(x) is x
+    for other in TABLE_FIELDS:
+        if other != field:
+            with pytest.raises(FieldMismatch):
+                field.raw(other.one)
+            with pytest.raises(FieldMismatch):
+                field.element(other.one)
 
 
 def test_characteristic_two_and_composite_rejected():
