@@ -1,13 +1,13 @@
 """The Clifford algebra C(V, q) of an exact quadratic space.
 
-Elements are finite maps from canonical basis monomials (strictly increasing
-index tuples) to nonzero scalars.  The relations e_i e_i = q(e_i) and
-e_i e_j + e_j e_i = (e_i, e_j) are used as given, so no diagonalization of q
-is ever needed.
+A monomial e_s is stored as its mask, bit i set for each i in s; callers
+see the increasing index tuple s (constructor, coeffs, all_monomials, repr,
+JSON).  The relations e_i e_i = q(e_i) and e_i e_j + e_j e_i = (e_i, e_j)
+are used as given, so no diagonalization of q is ever needed.
 
 An element is stored in the integer form its arithmetic runs on: a dict
-`terms` from monomial to integer over one positive denominator `den`.  Over
-GF(p) the integers are residues in 1..p-1 and den is 1; over Q they are
+`terms` from monomial mask to integer over one positive denominator `den`.
+Over GF(p) the integers are residues in 1..p-1 and den is 1; over Q they are
 nonzero numerators with gcd(den, all of them) = 1, and 0 is {} over 1.  The
 form is canonical, so equality and hashing compare stores.  Every operation
 passes an integer accumulator through the one normalizer, _of, which drops
@@ -20,38 +20,41 @@ over da * db * D.  Integer arithmetic is exact and every term carries the
 same scale, so each coefficient is the same exact scalar that term-by-term
 field arithmetic gives.
 
-The constants of a monomial product e_s e_t, and of the transpose of e_s,
-are computed on first use in closed form and kept in the space's one
-monomial cache.  Multiplying e_s on the right by one generator e_t moves
-e_t left past each s_j > t by e_j e_t = (e_t, e_j) - e_t e_j, leaving the
-contraction (-1)^(#after j) (e_t, e_j) e_{s - s_j}; then e_t e_t = q(e_t)
-when t is in s, or else e_t is inserted with sign (-1)^(#s > t).  A word is
-a fold of that step, and the transpose of e_s is its reversed word applied
-to 1.  Each step multiplies by L, which keeps its constants integral; a word
-of k generators is padded by L**(dim - k), so every constant has scale D.
+The constants are computed on first use in closed form and kept in the
+space's monomial cache, one row per left mask s mapping the right mask t to
+those of e_s e_t, and None to those of the transpose of e_s.  Multiplying
+e_s on the right by a generator e_t moves e_t left past each j > t in s by
+e_j e_t = (e_t, e_j) - e_t e_j, leaving the contraction
+(-1)^|s >> (j + 1)| (e_t, e_j) e_{s - j}, |.| the popcount; then
+e_t e_t = q(e_t) if bit t of s is set, or else bit t is set with the sign
+(-1)^|s >> (t + 1)|.  A word is a fold of that step, and
+the transpose of e_s is its reversed word applied to 1.  Each step
+multiplies by L, which keeps its constants integral; a word of k generators
+is padded by L**(dim - k), so every constant has scale D.
 
 A space built directly takes every constant from that fold.  An extension
 V + B from QuadraticSpace._extension appends a block B of 1 to 3 generators
 orthogonally after V's, so C(V + B) is the graded tensor product of C(V) and
-C(B), and a constant that involves V is derived from the two factors.  Split
-s = s_V s_B and t = t_V t_B at dim V.  Block generators anticommute with
-V's, so e_s e_t = (-1)^(|s_B| |t_V|) (e_{s_V} e_{t_V}) (e_{s_B} e_{t_B}),
-and the transpose of e_s is (-1)^(|s_B| |s_V|) e_{s_V}^T e_{s_B}^T, since
-products keep the parity of the degree.  The V factor comes from V's own
-cache, so every extension of V shares it (and an extension of an extension
-recurses); the block factor is folded in the extension, which touches only
-the 64 products and 8 transposes of block monomials.  Each V monomial
-precedes each block monomial, so v + g is canonical.  V's constants have
-scale L_V**dim_V; a block constant is a fold of at most |B| steps padded by
-at least L**dim_V, and L_V divides L, so dividing it by L_V**dim_V is exact
-and the product of the two factors has scale D.
+C(B), and a constant that involves V is derived from the two factors.  With
+mask_V = 2**dim V - 1, split s into s_V = s & mask_V and s_B = s - s_V, and
+t likewise.  Block generators anticommute with V's, so
+e_s e_t = (-1)^(|s_B| |t_V|) (e_{s_V} e_{t_V}) (e_{s_B} e_{t_B}), and the
+transpose of e_s is (-1)^(|s_B| |s_V|) e_{s_V}^T e_{s_B}^T, since products
+keep the parity of the degree.  The V factor comes
+from V's own cache, so every extension of V shares it (and an extension of
+an extension recurses); the block factor is folded in the extension, which
+touches only the 64 products and 8 transposes of block monomials.  V's and
+B's bits are disjoint, so the product monomial is v | g.  V's constants
+have scale L_V**dim_V; a block constant is a fold of at most |B| steps
+padded by at least L**dim_V, and L_V divides L, so dividing it by
+L_V**dim_V is exact and the product of the two factors has scale D.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 from . import linalg
@@ -60,8 +63,8 @@ from .quadratic import NotASuperspace, SpaceMismatch, Vector
 
 
 # the largest dimension whose inverse may take the linear solve, a dense
-# 2^n x 2^n system: 3.2 s over Q and 1.1 s over GF(3) at dim 9, about four
-# times that per further dimension (2-vCPU Xeon VM, Python 3.11)
+# 2^n x 2^n system: 2.5-4 s over Q and 0.8-1.4 s over GF(3) at dim 9,
+# about four times that per further dimension (2-vCPU Xeon VM, Python 3.11)
 MAX_SOLVE_DIM = 9
 
 
@@ -103,31 +106,40 @@ def _kernel(space):
     return kern
 
 
+# both conversions are cached: the API and coeffs views run them per term
+@cache
+def monomial_mask(s):
+    """The mask of the monomial e_s: bit i is set for each index i in s."""
+    return sum(1 << i for i in s)
+
+
+@cache
+def mask_indices(m):
+    """The strictly increasing index tuple of the monomial with mask m."""
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
+
+
 def _step(kern, terms, t):
     """(sum n_s e_s) e_t in closed form; every constant gains a factor L."""
     p, step, _, qs, above = kern
-    partners, qt = above[t], qs[t]
+    partners, qt, bit = above[t], qs[t], 1 << t
     out = {}
     get = out.get
     for s, n in terms.items():
-        k = bisect_left(s, t)
-        hit = k < len(s) and s[k] == t
         if partners:
-            last = len(s) - 1
-            for j in range(k + hit, len(s)):
-                pv = partners.get(s[j])
+            for j in range(t + 1, s.bit_length()):
+                pv = s >> j & 1 and partners.get(j)
                 if pv:
-                    u = s[:j] + s[j + 1:]
-                    out[u] = get(u, 0) + (-n * pv if (last - j) % 2
-                                          else n * pv)
-        if (len(s) - k - hit) % 2:
+                    u = s ^ (1 << j)
+                    if (s >> (j + 1)).bit_count() % 2:
+                        pv = -pv
+                    out[u] = get(u, 0) + n * pv
+        if (s >> (t + 1)).bit_count() % 2:
             n = -n
-        if not hit:
-            u = s[:k] + (t,) + s[k:]
-            out[u] = get(u, 0) + n * step
+        if not s & bit:
+            out[s | bit] = get(s | bit, 0) + n * step
         elif qt:
-            u = s[:k] + s[k + 1:]
-            out[u] = get(u, 0) + n * qt
+            out[s ^ bit] = get(s ^ bit, 0) + n * qt
     if p is not None:
         return {u: n % p for u, n in out.items() if n % p}
     return {u: n for u, n in out.items() if n}
@@ -135,64 +147,69 @@ def _step(kern, terms, t):
 
 def _mono_terms(space, s, t):
     """Integer constants of e_s e_t over the scale D, or of the transpose of
-    e_s when t is None, from the space's monomial cache."""
-    key = (s, t)
-    hit = space._mono_cache.get(key)
+    e_s when t is None, from row s of the space's monomial cache."""
+    row = space._mono_cache.setdefault(s, {})
+    hit = row.get(t)
     if hit is None:
         base = space._base
-        nv = 0 if base is None else len(base.qdiag)
-        if (s and s[0] < nv) or (t and t[0] < nv):
-            hit = _block_terms(space, base, nv, s, t)
+        low = 0 if base is None else (1 << base.dim) - 1  # the mask of V
+        if (s | (t or 0)) & low:
+            hit = _block_terms(space, base, low, s, t)
         else:
             kern = _kernel(space)
-            terms, word = ({(): 1}, s[::-1]) if t is None else ({s: 1}, t)
+            terms, word = (({0: 1}, mask_indices(s)[::-1]) if t is None
+                           else ({s: 1}, mask_indices(t)))
             for g in word:
                 terms = _step(kern, terms, g)
             pad = kern[1] ** (space.dim - len(word))  # L**(dim - k)
             hit = tuple((u, n * pad) for u, n in terms.items())
-        space._mono_cache[key] = hit
+        row[t] = hit
     return hit
 
 
-def _block_terms(space, base, nv, s, t):
+def _block_terms(space, base, low, s, t):
     """The constants of e_s e_t (or of the transpose of e_s) in an
-    orthogonal extension V + B of base = V, with nv = dim V: V's constants
-    times those of the block B alone, as the module docstring derives."""
-    i = bisect_left(s, nv)
-    if t is None:
-        j, tv, tb = i, None, None
-    else:
-        j = bisect_left(t, nv)
-        tv, tb = t[:j], t[j:]
-    vs = _mono_terms(base, s[:i], tv)
-    bs = _mono_terms(space, s[i:], tb)
+    orthogonal extension V + B of base = V, with low the mask of V: V's
+    constants times those of the block B alone, as the module docstring
+    derives."""
+    sv = s & low
+    tv = sv if t is None else t & low
+    vs = _mono_terms(base, sv, None if t is None else tv)
+    bs = _mono_terms(space, s ^ sv, None if t is None else t ^ tv)
     p = _kernel(space)[0]
-    dv = _kernel(base)[2]  # L_V**nv divides every block constant
-    if (len(s) - i) * j % 2:
+    dv = _kernel(base)[2]  # L_V**dim V divides every block constant
+    if (s ^ sv).bit_count() * tv.bit_count() % 2:
         dv = -dv
     if dv != 1:
         bs = [(g, b // dv) for g, b in bs]
     if p is None:
-        return tuple([(v + g, a * b) for v, a in vs for g, b in bs])
-    return tuple([(v + g, a * b % p) for v, a in vs for g, b in bs])
+        return tuple([(v | g, a * b) for v, a in vs for g, b in bs])
+    return tuple([(v | g, a * b % p) for v, a in vs for g, b in bs])
 
 
 # the monomials each part keeps
-_PARTS = {"scalar": lambda s: not s, "even": lambda s: len(s) % 2 == 0,
-          "odd": lambda s: len(s) % 2 == 1}
+_PARTS = {"scalar": lambda s: not s, "even": lambda s: s.bit_count() % 2 == 0,
+          "odd": lambda s: s.bit_count() % 2 == 1}
 
 
 class CliffordElement:
     """An element of C(V, q); immutable by convention.  It is kept in the
-    kernel's integer form: the element sum terms[s] e_s / den, canonical
-    as the module docstring states, so equal elements have equal stores."""
+    kernel's integer form: the element sum terms[s] e_s / den over monomial
+    masks s, canonical as the module docstring states, so equal elements
+    have equal stores."""
 
     __slots__ = ("space", "terms", "den", "_hash")
 
     def __new__(cls, space, coeffs):
         """From a map monomial -> Scalar, int or Fraction."""
+        return cls._values(space, [(monomial_mask(s), c)
+                                   for s, c in coeffs.items()])
+
+    @classmethod
+    def _values(cls, space, items):
+        """From pairs (monomial mask, Scalar, int or Fraction)."""
         raw = space.field.raw
-        vals = [(s, raw(c)) for s, c in coeffs.items()]
+        vals = [(s, raw(c)) for s, c in items]
         den = lcm(*(v.denominator for _, v in vals))
         return cls._of(space, {s: v.numerator * (den // v.denominator)
                                for s, v in vals}, den)
@@ -247,7 +264,8 @@ class CliffordElement:
 
     @classmethod
     def from_vector(cls, v):
-        return cls(v.space, {(i,): c for i, c in enumerate(v.coords)})
+        return cls._values(v.space,
+                           [(1 << i, c) for i, c in enumerate(v.coords)])
 
     @classmethod
     def paravector(cls, space, a, v=None):
@@ -260,22 +278,29 @@ class CliffordElement:
         if other.space is not self.space and other.space != self.space:
             raise SpaceMismatch("elements of different algebras")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other."""
         if not isinstance(other, CliffordElement):
             other = CliffordElement.scalar(self.space, other)
         self._check(other)
-        den = lcm(self.den, other.den)
-        k = den // self.den
-        acc = {s: n * k for s, n in self.terms.items()}
-        get, k = acc.get, den // other.den
+        a, b = self.den, other.den
+        if a == b:
+            den, acc = a, self.terms.copy()
+        else:
+            den = lcm(a, b)
+            acc = {s: n * (den // a) for s, n in self.terms.items()}
+        get, k = acc.get, sign * (den // b)
         for s, n in other.terms.items():
             acc[s] = get(s, 0) + n * k
         return CliffordElement._of(self.space, acc, den)
 
+    def __add__(self, other):
+        return self._plus(other, 1)
+
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -292,13 +317,16 @@ class CliffordElement:
                 self.den * k.denominator)
         self._check(other)
         space = self.space
-        cache = space._mono_cache
+        rows = space._mono_cache
         acc = {}
         get = acc.get
         ys = other.terms.items()
         for s, a in self.terms.items():
+            row = rows.get(s)
+            if row is None:
+                row = rows[s] = {}
             for t, b in ys:
-                terms = cache.get((s, t))
+                terms = row.get(t)
                 if terms is None:
                     terms = _mono_terms(space, s, t)
                 ab = a * b
@@ -338,25 +366,33 @@ class CliffordElement:
     def grade_involution(self):
         return CliffordElement._of(
             self.space,
-            {s: (-n if len(s) % 2 else n) for s, n in self.terms.items()},
+            {s: -n if s.bit_count() % 2 else n for s, n in self.terms.items()},
             self.den)
 
     def transpose(self):
+        return self._reverse(False)
+
+    def conj(self):
+        """The Clifford involution, grade then transpose (they commute): a
+        transpose keeps each term's parity, so this negates the odd terms'
+        transposes."""
+        return self._reverse(True)
+
+    def _reverse(self, grade):
         space = self.space
-        cache = space._mono_cache
+        rows = space._mono_cache
         acc = {}
         get = acc.get
         for s, a in self.terms.items():
-            terms = cache.get((s, None))
+            row = rows.get(s)
+            terms = row.get(None) if row else None
             if terms is None:
                 terms = _mono_terms(space, s, None)
+            if grade and s.bit_count() % 2:
+                a = -a
             for u, f in terms:
                 acc[u] = get(u, 0) + a * f
         return CliffordElement._of(space, acc, self.den * _kernel(space)[2])
-
-    def conj(self):
-        """The Clifford involution, grade then transpose (they commute)."""
-        return self.transpose().grade_involution()
 
     def involution(self, kind):
         if kind == "grade":
@@ -382,22 +418,22 @@ class CliffordElement:
             self.den)
 
     def is_scalar(self):
-        return all(not s for s in self.terms)
+        return self.terms.keys() <= {0}
 
     def is_vector(self):
-        return all(len(s) == 1 for s in self.terms)
+        return all(s.bit_count() == 1 for s in self.terms)
 
     def is_paravector(self):
-        return all(len(s) <= 1 for s in self.terms)
+        return all(s.bit_count() <= 1 for s in self.terms)
 
     def is_even(self):
-        return all(len(s) % 2 == 0 for s in self.terms)
+        return all(s.bit_count() % 2 == 0 for s in self.terms)
 
     def is_odd(self):
-        return all(len(s) % 2 == 1 for s in self.terms)
+        return all(s.bit_count() % 2 == 1 for s in self.terms)
 
     def scalar_part(self):
-        n = self.terms.get(())
+        n = self.terms.get(0)
         return self.space.field.zero if n is None else self._scalar(n)
 
     def to_scalar(self):
@@ -409,9 +445,9 @@ class CliffordElement:
     def vector_coords(self):
         coords = [self.space.field.zero] * self.space.dim
         for s, n in self.terms.items():
-            if len(s) != 1:
+            if s.bit_count() != 1:
                 raise NotScalar(f"not a vector: {self!r}")
-            coords[s[0]] = self._scalar(n)
+            coords[s.bit_length() - 1] = self._scalar(n)
         return Vector(self.space, coords)
 
     def paravector_parts(self):
@@ -421,7 +457,7 @@ class CliffordElement:
         coords = [self.space.field.zero] * self.space.dim
         for s, n in self.terms.items():
             if s:
-                coords[s[0]] = self._scalar(n)
+                coords[s.bit_length() - 1] = self._scalar(n)
         return self.scalar_part(), Vector(self.space, coords)
 
     # -- inversion -------------------------------------------------------------
@@ -430,7 +466,7 @@ class CliffordElement:
         """conj(x)/N(x) when N(x) is a nonzero scalar, else None."""
         xc = self.conj()
         n = self * xc
-        if n.is_scalar() and not n.scalar_part().is_zero():
+        if n.terms.keys() == {0}:  # a nonzero scalar
             # x * conj(x) = s forces left-multiplication by x onto, hence
             # bijective, and the one-sided inverse is two-sided.
             return xc * n.scalar_part().inverse()
@@ -497,10 +533,10 @@ class _Coeffs(Mapping):
         self._x = x
 
     def __getitem__(self, s):
-        return self._x._scalar(self._x.terms[s])
+        return self._x._scalar(self._x.terms[monomial_mask(s)])
 
     def __iter__(self):
-        return iter(self._x.terms)
+        return map(mask_indices, self._x.terms)
 
     def __len__(self):
         return len(self._x.terms)
@@ -525,7 +561,7 @@ def enumerate_elements(space):
     field = space.field
     if field.modulus is None:
         raise InfiniteField("Q cannot be enumerated")
-    monos = _all_monomials(space.dim)
+    monos = [monomial_mask(s) for s in _all_monomials(space.dim)]
     return [CliffordElement._of(space, dict(zip(monos, t)))
             for t in residue_tuples(field.modulus, len(monos))]
 

@@ -107,11 +107,14 @@ class Field:
     """Common interface of the two supported exact fields."""
 
     def raw(self, value):
-        """The raw value of an int, a Fraction or a Scalar of this field."""
+        """The raw value of an int, a Fraction or a Scalar of this field;
+        anything else (a float, a string) is a TypeError."""
         if isinstance(value, Scalar):
             if value.field is not self and value.field != self:
                 raise FieldMismatch(f"scalar of {value.field} used in {self}")
             return value.value
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not an int, a Fraction or a Scalar")
         return self._coerce(value)
 
     def element(self, value):

@@ -10,7 +10,7 @@ materialized.
 from __future__ import annotations
 
 from . import linalg
-from .clifford import CliffordElement, NotInvertible, rho_map
+from .clifford import CliffordElement, NotInvertible, monomial_mask, rho_map
 from .quadratic import SpaceMismatch
 
 GROUP_TAGS = frozenset({
@@ -170,7 +170,8 @@ def _conjugation_matrix(x, kind, error):
         ginv = x.inverse().grade_involution()
     except NotInvertible as exc:
         raise error(str(exc)) from exc
-    monos, zero = part_monomials(space.dim, kind), space.field.zero
+    monos = [monomial_mask(s) for s in part_monomials(space.dim, kind)]
+    zero = space.field.zero
     cols = []
     for t in probe_elements(space, kind):
         img = x * t * ginv
@@ -224,21 +225,20 @@ def matrix_to_CU(m, vu=None):
 
 
 def CU_to_matrix(psi, base):
-    """Peel the four C(V, q) components out of an element of C(V_U)."""
+    """Peel the four C(V, q) components out of an element of C(V_U): a
+    monomial's bits above V's, e = bit n and f = bit n + 1, pick its
+    component, and its bits in V are its monomial there."""
     n = base.dim
-    e_idx, f_idx = n, n + 1
-    raw = {frozenset(): {}, frozenset({e_idx}): {},
-           frozenset({f_idx}): {}, frozenset({e_idx, f_idx}): {}}
+    low = (1 << n) - 1
+    raw = ({}, {}, {}, {})  # the components of 1, e, f and ef
     for s, c in psi.terms.items():
-        content = frozenset(i for i in s if i >= n)
-        rest = tuple(i for i in s if i < n)
-        if content not in raw:
+        if s >> n > 3:
             raise ValueError("element does not lie in the embedded C(V_U)")
-        raw[content][rest] = c
-    part = lambda *key: CliffordElement._of(base, raw[frozenset(key)], psi.den)
-    d = part()
-    return CMatrix2(part(e_idx, f_idx) + d, part(e_idx),
-                    part(f_idx).grade_involution(), d.grade_involution())
+        raw[s >> n][s & low] = c
+    part = lambda k: CliffordElement._of(base, raw[k], psi.den)
+    d = part(0)
+    return CMatrix2(part(3) + d, part(1), part(2).grade_involution(),
+                    d.grade_involution())
 
 
 # -- M2(C) = C(V_{U,F})+ ---------------------------------------------------------
@@ -257,8 +257,7 @@ def CUF_to_matrix(psi, base):
     of V_{U,F}, so x_- rho has the monomials of x_- with rho appended."""
     if not psi.is_even():
         raise ValueError("element is not in the even subalgebra")
-    r_idx = base.dim + 2
-    terms = {(s[:-1] if s and s[-1] == r_idx else s): c
-             for s, c in psi.terms.items()}
+    keep = ~(1 << (base.dim + 2))
+    terms = {s & keep: c for s, c in psi.terms.items()}
     return CU_to_matrix(
         CliffordElement._of(base.extend_hyperbolic(), terms, psi.den), base)

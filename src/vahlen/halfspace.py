@@ -42,7 +42,7 @@ form of the space; only the hits become Scalars.
 
 from __future__ import annotations
 
-from .clifford import CliffordElement
+from .clifford import CliffordElement, mask_indices, monomial_mask
 from .fields import InfiniteField, PrimeField, Scalar, residue_tuples
 from .groups import (lands, matrix_to_CU, matrix_to_CUF, part_monomials,
                      probe_elements)
@@ -52,8 +52,8 @@ from .quadratic import QuadraticSpace
 
 
 # the _census_work an orbit census may reach: the GF(11) dim-2 paravector
-# census at c = 1 (_census_work 1.23e6) takes 19-25 s and the GF(7) dim-3
-# one (0.91e6) 26-29 s (2-vCPU Xeon VM, Python 3.11)
+# census at c = 1 (_census_work 1.23e6) takes 16 s and the GF(7) dim-3
+# one (0.91e6) 17 s (2-vCPU Xeon VM, Python 3.11)
 MAX_CENSUS_WORK = 2 * 10**6
 
 
@@ -104,10 +104,10 @@ class HalfSpace:
                        else space.extend_hyperbolic_rho())
         self.e_idx = self.uspace.labels["e"]
         self.f_idx = self.uspace.labels["f"]
-        # slot -> monomial of C(V), monomial -> slot, and slot ->
+        # slot -> monomial of C(V), monomial mask -> slot, and slot ->
         # (coordinate of V_U or V_{U,F}, negated?): the scalar slot is -rho
         self._monos = part_monomials(space.dim, kind)
-        self._slot = {s: k for k, s in enumerate(self._monos)}
+        self._slot = {monomial_mask(s): k for k, s in enumerate(self._monos)}
         self._u_idx = tuple((s[0], False) if s
                             else (self.uspace.labels["rho"], True)
                             for s in self._monos)
@@ -194,9 +194,9 @@ class HalfSpace:
         """x + t sigma_c as an element of C(V_F^c); regular points only."""
         if p.boundary:
             raise InvariantViolation("boundary points have no finite lift")
-        coeffs = dict(zip(self._monos, p.part))
-        coeffs[(self.sigma_idx,)] = p.height
-        return CliffordElement(self.sigma_space, coeffs)
+        return CliffordElement._values(
+            self.sigma_space,
+            [*zip(self._slot, p.part), (1 << self.sigma_idx, p.height)])
 
     def _split(self, x):
         """Split an element of C(V_F^c) into (part tuple, sigma coefficient);
@@ -204,15 +204,15 @@ class HalfSpace:
         zero = self.field.zero
         part = [zero] * self.part_len
         sigma_coeff = zero
-        sigma, slot = (self.sigma_idx,), self._slot
+        sigma, slot = 1 << self.sigma_idx, self._slot
         for s, n in x.terms.items():
             if s in slot:
                 part[slot[s]] = x._scalar(n)
             elif s == sigma:
                 sigma_coeff = x._scalar(n)
             else:
-                raise InvariantViolation(
-                    f"Moebius numerator has an illegal term {s}: {x!r}")
+                raise InvariantViolation("Moebius numerator has an illegal "
+                                         f"term {mask_indices(s)}: {x!r}")
         return tuple(part), sigma_coeff
 
     # -- Moebius action -----------------------------------------------------------

@@ -363,8 +363,8 @@ def matrix_from_json(space, data):
 
 
 # the matrices an exhaustive run may enumerate: GF(5) [1] (390,625
-# matrices) took 30-33 s for the vector and 41 s for the paravector
-# conditions, and GF(31) [] (923,521) 88 s (2-vCPU Xeon VM shared with
+# matrices) took 26 s for the vector and 31 s for the paravector
+# conditions, and GF(31) [] (923,521) 75 s (2-vCPU Xeon VM shared with
 # other load, Python 3.11)
 MAX_EXHAUSTIVE_MATRICES = 10**6
 

@@ -65,7 +65,7 @@ def test_verify_corrupted_multiplication_fails(capsys, monkeypatch):
         out = true_mul(self, other)
         if isinstance(other, clifford.CliffordElement):
             for key in out.terms:
-                if len(key) == 2:
+                if key.bit_count() == 2:
                     out.terms[key] = -out.terms[key]
                     break
         return out

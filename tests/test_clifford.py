@@ -4,6 +4,7 @@ embeddings, and the rho/upsilon/iota maps."""
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,9 @@ from vahlen import clifford, linalg
 from vahlen.clifford import (CliffordElement, NotInvertible, NotScalar,
                              SolveTooLarge, all_monomials, element_from_json,
                              element_to_json, enumerate_elements, iota,
-                             iota_inv, paravector_pairing, paravector_q,
-                             rho_map, upsilon_element, upsilon_map)
+                             iota_inv, mask_indices, monomial_mask,
+                             paravector_pairing, paravector_q, rho_map,
+                             upsilon_element, upsilon_map)
 from vahlen.fields import InfiniteField, PrimeField, Q, Scalar
 from vahlen.groups import in_group
 from vahlen.quadratic import NotASuperspace, QuadraticSpace, SpaceMismatch
@@ -490,9 +492,10 @@ def test_monomial_cache_is_lazy_and_shared():
     assert V._mono_cache == {} and V._kernel is None
     e01 = CliffordElement.monomial(V, (0, 1))
     e01.transpose()
-    assert set(V._mono_cache) == {((0, 1), None)}
+    rows = lambda: {s: set(row) for s, row in V._mono_cache.items()}
+    assert rows() == {0b11: {None}}
     e01 * e01
-    assert set(V._mono_cache) == {((0, 1), None), ((0, 1), (0, 1))}
+    assert rows() == {0b11: {None, 0b11}}
 
 
 # -- constants of an extension derived from its blocks ---------------------------
@@ -511,7 +514,7 @@ def _assert_derived_match_fold(ext):
     the same space built plainly, whose constants all come from the fold."""
     plain = QuadraticSpace(ext.field, ext.qdiag, ext.pairs, ext.labels)
     assert ext._base is not None and plain._base is None
-    monos = all_monomials(ext)
+    monos = range(1 << ext.dim)
     for s in monos:
         assert dict(clifford._mono_terms(ext, s, None)) == \
             dict(clifford._mono_terms(plain, s, None)), s
@@ -552,23 +555,150 @@ def test_extensions_share_the_base_cache(monkeypatch):
                         lambda kern, terms, t: steps.append((kern, t))
                         or step(kern, terms, t))
     v_steps = []
+    low = (1 << n) - 1
     for ext in (V.extend_hyperbolic(), V.extend_hyperbolic_rho()):
         x = CliffordElement(ext, {s: Q.one for s in all_monomials(ext)})
         x * x
         x.transpose()
         block_keys = 0
-        for s, t in ext._mono_cache:
-            if all(k >= n for k in s + (t or ())):
+        for s, t in ((s, t) for s, row in ext._mono_cache.items()
+                     for t in row):
+            if not (s | (t or 0)) & low:
                 block_keys += 1
                 continue
-            v_key = (tuple(k for k in s if k < n),
-                     None if t is None else tuple(k for k in t if k < n))
-            assert v_key in V._mono_cache
+            assert (None if t is None else t & low) in V._mono_cache[s & low]
         assert block_keys == 4 ** (ext.dim - n) + 2 ** (ext.dim - n) <= 72
         ext_steps = [t for kern, t in steps if kern is ext._kernel]
         assert ext_steps and all(t >= n for t in ext_steps)
         v_steps.append(sum(kern is V._kernel for kern, _ in steps))
     assert v_steps[0] == v_steps[1] > 0
+
+
+# -- the mask kernel against the tuple-keyed kernel it replaced --------------
+
+# the dim-5 space of the act-cold benchmark: verify-q's with a fifth generator
+ACT_COLD = ([1, -1, 2, 0, 3], VERIFY_Q[1])
+
+
+def _ref_step(kern, terms, t):
+    """The tuple-keyed closed-form step: (sum n_s e_s) e_t with monomials as
+    increasing index tuples; every constant gains a factor L."""
+    p, step, _, qs, above = kern
+    partners, qt = above[t], qs[t]
+    out = {}
+    get = out.get
+    for s, n in terms.items():
+        k = bisect_left(s, t)
+        hit = k < len(s) and s[k] == t
+        if partners:
+            last = len(s) - 1
+            for j in range(k + hit, len(s)):
+                pv = partners.get(s[j])
+                if pv:
+                    u = s[:j] + s[j + 1:]
+                    out[u] = get(u, 0) + (-n * pv if (last - j) % 2
+                                          else n * pv)
+        if (len(s) - k - hit) % 2:
+            n = -n
+        if not hit:
+            u = s[:k] + (t,) + s[k:]
+            out[u] = get(u, 0) + n * step
+        elif qt:
+            u = s[:k] + s[k + 1:]
+            out[u] = get(u, 0) + n * qt
+    if p is not None:
+        return {u: n % p for u, n in out.items() if n % p}
+    return {u: n for u, n in out.items() if n}
+
+
+def _ref_mono_terms(space, s, t):
+    """The tuple-keyed constants of e_s e_t over the scale D, or of the
+    transpose of e_s when t is None, computed afresh on every call."""
+    base = space._base
+    nv = 0 if base is None else len(base.qdiag)
+    if (s and s[0] < nv) or (t and t[0] < nv):
+        return _ref_block_terms(space, base, nv, s, t)
+    kern = clifford._kernel(space)
+    terms, word = ({(): 1}, s[::-1]) if t is None else ({s: 1}, t)
+    for g in word:
+        terms = _ref_step(kern, terms, g)
+    pad = kern[1] ** (space.dim - len(word))  # L**(dim - k)
+    return tuple((u, n * pad) for u, n in terms.items())
+
+
+def _ref_block_terms(space, base, nv, s, t):
+    """The tuple-keyed split of an extension constant into V's and the
+    block's, with nv = dim V."""
+    i = bisect_left(s, nv)
+    if t is None:
+        j, tv, tb = i, None, None
+    else:
+        j = bisect_left(t, nv)
+        tv, tb = t[:j], t[j:]
+    vs = _ref_mono_terms(base, s[:i], tv)
+    bs = _ref_mono_terms(space, s[i:], tb)
+    p = clifford._kernel(space)[0]
+    dv = clifford._kernel(base)[2]
+    if (len(s) - i) * j % 2:
+        dv = -dv
+    if dv != 1:
+        bs = [(g, b // dv) for g, b in bs]
+    if p is None:
+        return tuple([(v + g, a * b) for v, a in vs for g, b in bs])
+    return tuple([(v + g, a * b % p) for v, a in vs for g, b in bs])
+
+
+def _assert_pair_matches_reference(space, s, t):
+    """The mask kernel's constants of e_s e_t (of the transpose of e_s when
+    t is None), keys mapped to index tuples, equal the reference's."""
+    got = clifford._mono_terms(space, monomial_mask(s),
+                               None if t is None else monomial_mask(t))
+    assert sorted((mask_indices(u), n) for u, n in got) == \
+        sorted(_ref_mono_terms(space, s, t)), (s, t)
+
+
+def test_mask_kernel_matches_reference_every_gf3_form():
+    """Every pair and every transpose on every GF(3) form of dim <= 2, on
+    V_F^c for every c, and on V_U and V_UF."""
+    for dim in range(3):
+        slots = list(itertools.combinations(range(dim), 2))
+        for qdiag in itertools.product(range(3), repeat=dim):
+            for values in itertools.product(range(3), repeat=len(slots)):
+                V = QuadraticSpace(F3, list(qdiag), dict(zip(slots, values)))
+                for space in [V] + _extensions(V, range(3)):
+                    monos = all_monomials(space)
+                    for s in monos:
+                        _assert_pair_matches_reference(space, s, None)
+                        for t in monos:
+                            _assert_pair_matches_reference(space, s, t)
+
+
+def test_mask_kernel_matches_reference_over_q():
+    """A seeded sample of 2,000 pairs and 50 dense products on the verify-q
+    and act-cold spaces and their V_UF, against products summed from the
+    reference's constants in Fraction arithmetic."""
+    rng = random.Random(21)
+    spaces = []
+    for qdiag, pairs in (VERIFY_Q, ACT_COLD):
+        V = QuadraticSpace(Q, qdiag, pairs)
+        spaces += [V, V.extend_hyperbolic_rho()]
+    for k, space in enumerate(spaces):
+        monos = all_monomials(space)
+        for _ in range(500):
+            s, t = rng.choice(monos), rng.choice(monos)
+            _assert_pair_matches_reference(space, s, None)
+            _assert_pair_matches_reference(space, s, t)
+        scale = clifford._kernel(space)[2]
+        for _ in range(13 if k < 2 else 12):
+            x, y = ({s: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for s in rng.sample(monos, 16)} for _ in range(2))
+            want = {}
+            for s, a in x.items():
+                for t, b in y.items():
+                    for u, f in _ref_mono_terms(space, s, t):
+                        want[u] = want.get(u, 0) + a * b * Fraction(f, scale)
+            got = CliffordElement(space, x) * CliffordElement(space, y)
+            assert got == CliffordElement(space, want)
 
 
 # -- the size guard of the solving inverse --------------------------------------
@@ -739,15 +869,15 @@ def test_store_explicit_cases():
     assert y == x and hash(y) == hash(x) and y.den == x.den == 12
     assert x.part("even") + x.part("odd") == x
     even = CliffordElement(V, {(0,): Fraction(1, 2), (): 3}).part("even")
-    assert even == 3 and even.den == 1 and even.terms == {(): 3}
+    assert even == 3 and even.den == 1 and even.terms == {0: 3}
     assert (x - x).terms == {} and (x - x).den == 1
     half, two_quarters = (element_from_json(V, [{"indices": [0], "coeff": c}])
                           for c in ("1/2", "2/4"))
     assert two_quarters == half and hash(two_quarters) == hash(half)
-    assert two_quarters.den == 2 and two_quarters.terms == {(0,): 1}
+    assert two_quarters.den == 2 and two_quarters.terms == {0b1: 1}
     W = QuadraticSpace(F3, [1, 2])
     z = CliffordElement(W, {(): 2, (0, 1): Fraction(1, 2)})
-    assert z.terms == {(): 2, (0, 1): 2} and z.den == 1
+    assert z.terms == {0: 2, 0b11: 2} and z.den == 1
     assert (z * 2) * 2 == z and -(-z) == z
 
 
@@ -774,6 +904,7 @@ def test_store_arithmetic_builds_no_scalars(field, monkeypatch):
                x.conj(), x.part("even"), x.part("odd"), x.part("scalar")]
     assert x != y and x * 1 == x and x.norm() == x * x.conj()
     assert len({hash(r) for r in results}) > 1
-    assert list(x.coeffs) == list(x.terms) and len(y.coeffs) == 2
+    assert list(x.terms) == [0, 0b11, 0b1100] and len(y.coeffs) == 2
+    assert list(x.coeffs) == [(), (0, 1), (2, 3)]
     assert built == []
     assert x.coeffs[(0, 1)] == Fraction(1, 2) and len(built) == 1

@@ -158,6 +158,18 @@ def test_raw_coerces_scalars_ints_and_fractions(field):
                 field.element(other.one)
 
 
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+@pytest.mark.parametrize("value", [1.5, "1/2", None, 1j],
+                         ids=["float", "str", "None", "complex"])
+def test_raw_refuses_other_types(field, value):
+    """Only a Scalar, an int or a Fraction is a value: a float, a string,
+    None or a complex is a TypeError wherever a value is coerced."""
+    with pytest.raises(TypeError, match="not an int, a Fraction or a Scalar"):
+        field.raw(value)
+    with pytest.raises(TypeError, match="not an int, a Fraction or a Scalar"):
+        field.element(value)
+
+
 def test_characteristic_two_and_composite_rejected():
     with pytest.raises(ValueError):
         PrimeField(2)

@@ -220,7 +220,8 @@ def test_raw_form_matches_scalar_reference_over_q():
     """200 seeded vectors on the dim-4 space of the verify-q benchmark,
     zero coordinates included, then 50 on each of its part spaces and on
     its extension by sigma_0, which has a radical."""
-    space = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): "1/2"})
+    space = QuadraticSpace(Q, [1, -1, 2, 0],
+                           {(0, 1): 1, (2, 3): Fraction(1, 2)})
     rng = random.Random(5)
     pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3)]
     spaces = [(space, 200), (space.extend_sigma(0), 50)] + [
