@@ -18,7 +18,7 @@ from .clifford import SolveTooLarge
 from .fields import InfiniteField, parse_field
 from .halfspace import HalfSpace, InvariantViolation, point_from_json, \
     point_to_json
-from .matrices import (NotVahlen, TooLarge, condition3_failure, is_vahlen,
+from .matrices import (NotVahlen, TooLarge, condition3_failure,
                        matrix_from_json, verify_equivalence_exhaustive)
 from .quadratic import QuadraticSpace, space_from_json
 from .suites import run_verify
@@ -123,8 +123,8 @@ def cmd_act(config, matrix_data, point_data, cross_check):
         p = point_from_json(hs, point_data)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad matrix or point: {exc}") from exc
-    if not is_vahlen(m, config.kind):
-        reason = condition3_failure(m, config.kind)
+    reason = condition3_failure(m, config.kind)
+    if reason is not None:
         print(f"not a {config.kind} Vahlen matrix: {reason}",
               file=sys.stderr)
         return 1

@@ -109,7 +109,11 @@ def _kernel(space):
 # both conversions are cached: the API and coeffs views run them per term
 @cache
 def monomial_mask(s):
-    """The mask of the monomial e_s: bit i is set for each index i in s."""
+    """The mask of the monomial e_s: bit i is set for each index i in s.
+    s must be strictly increasing and nonnegative; the range check against
+    a space's dimension is mask >> dim."""
+    if list(s) != sorted(set(s)) or s and s[0] < 0:
+        raise ValueError(f"bad monomial indices {s}")
     return sum(1 << i for i in s)
 
 
@@ -202,8 +206,11 @@ class CliffordElement:
 
     def __new__(cls, space, coeffs):
         """From a map monomial -> Scalar, int or Fraction."""
-        return cls._values(space, [(monomial_mask(s), c)
-                                   for s, c in coeffs.items()])
+        items = [(monomial_mask(s), c) for s, c in coeffs.items()]
+        for (mask, _), s in zip(items, coeffs):
+            if mask >> space.dim:
+                raise ValueError(f"bad monomial indices {s}")
+        return cls._values(space, items)
 
     @classmethod
     def _values(cls, space, items):
@@ -247,7 +254,8 @@ class CliffordElement:
 
     @classmethod
     def scalar(cls, space, value):
-        return cls(space, {(): value})
+        v = space.field.raw(value)
+        return cls._of(space, {0: v.numerator}, v.denominator)
 
     @classmethod
     def one(cls, space):
@@ -533,7 +541,11 @@ class _Coeffs(Mapping):
         self._x = x
 
     def __getitem__(self, s):
-        return self._x._scalar(self._x.terms[monomial_mask(s)])
+        try:
+            n = self._x.terms[monomial_mask(s)]
+        except (KeyError, ValueError):
+            raise KeyError(s) from None
+        return self._x._scalar(n)
 
     def __iter__(self):
         return map(mask_indices, self._x.terms)
@@ -665,9 +677,6 @@ def element_from_json(space, data):
             raise ValueError(f"term {term!r} is not "
                              '{"indices": [int, ...], "coeff": ...}')
         s = tuple(term["indices"])
-        if list(s) != sorted(set(s)) or (s and (s[0] < 0
-                                                or s[-1] >= space.dim)):
-            raise ValueError(f"bad monomial indices {s}")
         c = space.field.parse(str(term["coeff"]))
         coeffs[s] = coeffs.get(s, zero) + c
     return CliffordElement(space, coeffs)

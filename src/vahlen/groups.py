@@ -1,7 +1,7 @@
 """Clifford group membership, the projections pi and pi-tilde, and the
 matrix-algebra isomorphisms M2(C(V,q)) = C(V_U) and M2(C(V,q)) = C(V_{U,F})+.
-The second is the first followed by rho_map, which carries C(V_U) onto
-C(V_U + F rho)+ = C(V_{U,F})+.
+The second is the first, built inside C(V_{U,F}), followed by rho_map,
+which carries that copy of C(V_U) onto C(V_U + F rho)+ = C(V_{U,F})+.
 
 Groups are infinite over Q, so membership is by predicate; nothing is ever
 materialized.
@@ -44,8 +44,7 @@ class CMatrix2:
 
     @classmethod
     def identity(cls, space):
-        one, zero = CliffordElement.one(space), CliffordElement.zero(space)
-        return cls(one, zero, zero, one)
+        return cls.from_entries(space, 1, 0, 0, 1)
 
     @classmethod
     def from_entries(cls, space, a, b, c, d):
@@ -225,9 +224,10 @@ def matrix_to_CU(m, vu=None):
 
 
 def CU_to_matrix(psi, base):
-    """Peel the four C(V, q) components out of an element of C(V_U): a
-    monomial's bits above V's, e = bit n and f = bit n + 1, pick its
-    component, and its bits in V are its monomial there."""
+    """Peel the four C(V, q) components out of an element of C(V_U), or of
+    C(V_{U,F}) with no rho term: a monomial's bits above V's, e = bit n and
+    f = bit n + 1, pick its component, and its bits in V are its monomial
+    there."""
     n = base.dim
     low = (1 << n) - 1
     raw = ({}, {}, {}, {})  # the components of 1, e, f and ef
@@ -245,11 +245,11 @@ def CU_to_matrix(psi, base):
 
 
 def matrix_to_CUF(m, vuf=None):
-    """rho_map of the C(V_U) image: V_{U,F} extends V_U, so rho_map carries
-    C(V_U) onto C(V_{U,F})+."""
+    """rho_map of the C(V_U) image, built inside C(V_{U,F}), where e and f
+    keep their indices n and n + 1: rho_map carries it onto C(V_{U,F})+."""
     if vuf is None:
         vuf = m.space.extend_hyperbolic_rho()
-    return rho_map(matrix_to_CU(m), vuf)
+    return rho_map(matrix_to_CU(m, vuf), vuf)
 
 
 def CUF_to_matrix(psi, base):
@@ -259,5 +259,4 @@ def CUF_to_matrix(psi, base):
         raise ValueError("element is not in the even subalgebra")
     keep = ~(1 << (base.dim + 2))
     terms = {s & keep: c for s, c in psi.terms.items()}
-    return CU_to_matrix(
-        CliffordElement._of(base.extend_hyperbolic(), terms, psi.den), base)
+    return CU_to_matrix(CliffordElement._of(psi.space, terms, psi.den), base)

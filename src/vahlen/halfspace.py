@@ -24,16 +24,15 @@ holds iota(a + v) = v - a rho, so the scalar slot goes to rho, negated.
 
 The parts of every Moebius formula that depend on the matrix alone are
 built once per matrix, on the first point that needs them, and kept in the
-matrix's memo: the pseudo-determinant under ("det", kind); N(c), N(a),
-a conj(c) and the conjugates of the entries for a boundary point under
-"boundary"; and two images in another algebra, each kept next to that
-algebra and rebuilt when the matrix meets a half-space over a different
-one -- the entries embedded in C(V_F^c) for a regular point under
-("regular", kind, c), and the image in C(V_U) or C(V_{U,F}) under
-("eta", kind).  A CMatrix2 is never changed once built and every constant
-is an exact function of its entries (and the target algebra), so a kept
-constant equals the one recomputed at every point.  The formula itself
-still runs once per (point, matrix).
+matrix's memo: N(c), N(a), a conj(c) and the conjugates of the entries for
+a boundary point under "boundary", and the entries embedded in C(V_F^c) for
+a regular point under ("regular", kind, c), kept next to that algebra and
+rebuilt when the matrix meets a half-space over a different one.  The
+pseudo-determinant is matrices.pseudo_det's, which checks membership and
+keeps the scalar on the matrix.  A CMatrix2 is never changed once built
+and every constant is an exact function of its entries (and the target
+algebra), so a kept constant equals the one recomputed at every point.
+The formula itself still runs once per (point, matrix).
 
 Over GF(p) the finite sets (parts, points, K-vectors) are scanned as
 residue tuples in numeral order, with q and the radical tested on the raw
@@ -46,8 +45,8 @@ from .clifford import CliffordElement, mask_indices, monomial_mask
 from .fields import InfiniteField, PrimeField, Scalar, residue_tuples
 from .groups import (lands, matrix_to_CU, matrix_to_CUF, part_monomials,
                      probe_elements)
-from .matrices import (CMatrix2, NotVahlen, TooLarge, dilation, is_vahlen,
-                       pseudo_det, translation, weyl)
+from .matrices import (CMatrix2, TooLarge, dilation, is_vahlen, pseudo_det,
+                       translation, weyl)
 from .quadratic import QuadraticSpace
 
 
@@ -217,23 +216,15 @@ class HalfSpace:
 
     # -- Moebius action -----------------------------------------------------------
 
-    def _require_vahlen(self, m):
-        if not is_vahlen(m, self.kind):
-            raise NotVahlen(f"matrix is not in the {self.kind} Vahlen group")
-
-    def _det(self, m):
-        """pseudo_det(m), once per matrix and kind."""
-        key = ("det", self.kind)
-        det = m._memo.get(key)
-        if det is None:
-            det = m._memo[key] = pseudo_det(m, self.kind)
-        return det
-
     def _regular_constants(self, m):
-        """The entries embedded in C(V_F^c)."""
-        return _kept_in(
-            m, ("regular", self.kind, self.c), self.sigma_space,
-            lambda: tuple(x.embed(self.sigma_space) for x in m.entries()))
+        """The entries embedded in C(V_F^c), kept on m next to that algebra;
+        rebuilt when the matrix last met a half-space over another one."""
+        key, algebra = ("regular", self.kind, self.c), self.sigma_space
+        hit = m._memo.get(key)
+        if hit is None or hit[0] is not algebra:
+            hit = m._memo[key] = (algebra, tuple(x.embed(algebra)
+                                                 for x in m.entries()))
+        return hit[1]
 
     def _boundary_constants(self, m):
         """N(c), N(a), a conj(c), and the conjugates of a, b, c, d."""
@@ -245,7 +236,7 @@ class HalfSpace:
                                          ac, bc, cc, dc)
         return hit
 
-    def _regular_data(self, m, p):
+    def _regular_data(self, m, p, det):
         """(part, s = t det) of (az+b) conj(cz+d) at a regular point z,
         then den = N(cz+d) and N = N(az+b)."""
         z = self.lift(p)
@@ -254,12 +245,12 @@ class HalfSpace:
         lower = c * z + d
         lower_bar = lower.conj()
         part, s = self._split(upper * lower_bar)
-        if s != p.height * self._det(m):
+        if s != p.height * det:
             raise InvariantViolation("sigma coefficient should be t det")
         return (part, s, (lower * lower_bar).to_scalar(),
                 upper.norm().to_scalar())
 
-    def _boundary_data(self, m, p):
+    def _boundary_data(self, m, p, det):
         """(part, det, den*, N*) at a boundary point: the starred linear
         coefficients, from their closed forms entirely inside C(V)."""
         a, b, c, d = m.entries()
@@ -270,15 +261,15 @@ class HalfSpace:
         den_star = (norm_c * height + (c * u * db + d * ub * cb)).to_scalar()
         num_norm_star = (norm_a * height + (au * bb + bub * ab)).to_scalar()
         star = a_cbar * height + (au * db + bub * cb)
-        return (self._element_to_part(star), self._det(m), den_star,
-                num_norm_star)
+        return self._element_to_part(star), det, den_star, num_norm_star
 
     def _action_data(self, m, p):
-        """(part, s, den, N) of the Moebius formula at p, either kind."""
-        self._require_vahlen(m)
+        """(part, s, den, N) of the Moebius formula at p, either kind;
+        pseudo_det refuses a non-Vahlen matrix first."""
+        det = pseudo_det(m, self.kind)
         if p.boundary:
-            return self._boundary_data(m, p)
-        return self._regular_data(m, p)
+            return self._boundary_data(m, p, det)
+        return self._regular_data(m, p, det)
 
     def mobius_denominator(self, p, m):
         """den: N(cz + d), or its starred coefficient at the boundary."""
@@ -343,16 +334,14 @@ class HalfSpace:
     def _eta(self, m):
         """The image of m in C(V_U) resp. C(V_{U,F})."""
         to_u = matrix_to_CU if self.kind == "vector" else matrix_to_CUF
-        return _kept_in(m, ("eta", self.kind), self.uspace,
-                        lambda: to_u(m, self.uspace))
+        return to_u(m, self.uspace)
 
     def orthogonal_apply(self, m, w):
         """eta w eta* / det inside C(V_U) resp. C(V_{U,F})."""
-        self._require_vahlen(m)
+        inv = pseudo_det(m, self.kind).inverse()
         eta = self._eta(m)
         img = eta * CliffordElement.from_vector(w) * eta.transpose()
-        img = img * self._det(m).inverse()
-        return img.vector_coords()
+        return (img * inv).vector_coords()
 
     def equivariance_check(self, m, p):
         """Moebius path and K-model path must agree exactly."""
@@ -367,7 +356,6 @@ class HalfSpace:
     def stabilizer_shape_check(self, m):
         """(stabilizes sigma_c, matches the (d', -c g'; g, d) shape); the two
         verdicts must coincide for Vahlen matrices."""
-        self._require_vahlen(m)
         stab = self.mobius_apply(m, self.base_point()) == self.base_point()
         g, d = m.c, m.d
         shape = (m.a == d.grade_involution()
@@ -552,23 +540,12 @@ class HalfSpace:
         return report
 
 
-def _kept_in(m, key, algebra, build):
-    """build(), kept on m next to the algebra it lives in; rebuilt when the
-    matrix last met a half-space over another algebra."""
-    hit = m._memo.get(key)
-    if hit is None or hit[0] is not algebra:
-        hit = m._memo[key] = (algebra, build())
-    return hit[1]
-
-
 def _point_sort_key(p):
     return (p.boundary, tuple(s.value for s in p.part), p.height.value)
 
 
 def _diag(space, top, bottom):
-    zero = CliffordElement.zero(space)
-    return CMatrix2(CliffordElement.scalar(space, top), zero, zero,
-                    CliffordElement.scalar(space, bottom))
+    return CMatrix2.from_entries(space, top, 0, 0, bottom)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .clifford import (CliffordElement, element_from_json, element_to_json,
                        enumerate_elements)
 from .fields import InfiniteField, PrimeField, Rationals
 from .groups import (PART_SPACE, CMatrix2, in_group, lands, matrix_to_CU,
-                     matrix_to_CUF, probe_elements)
+                     matrix_to_CUF, part_monomials, probe_elements)
 from .quadratic import Vector
 
 KINDS = ("vector", "paravector")
@@ -234,21 +234,18 @@ def _as_translation_element(space, kind, xi):
 
 def translation(space, kind, xi):
     xi = _as_translation_element(space, kind, xi)
-    one, zero = CliffordElement.one(space), CliffordElement.zero(space)
-    return CMatrix2(one, xi, zero, one)
+    return CMatrix2.from_entries(space, 1, xi, 0, 1)
 
 
 def dilation(space, a):
     a = space.field.element(a)
     if a.is_zero():
         raise ValueError("dilation scale must be nonzero")
-    one, zero = CliffordElement.one(space), CliffordElement.zero(space)
-    return CMatrix2(CliffordElement.scalar(space, a), zero, zero, one)
+    return CMatrix2.from_entries(space, a, 0, 0, 1)
 
 
 def weyl(space):
-    one, zero = CliffordElement.one(space), CliffordElement.zero(space)
-    return CMatrix2(zero, -one, one, zero)
+    return CMatrix2.from_entries(space, 0, -1, 1, 0)
 
 
 def vector_scalar(space, v):
@@ -258,8 +255,7 @@ def vector_scalar(space, v):
         raise ValueError("vector_scalar argument must lie in V")
     if v.vector_coords().q().is_zero():
         raise ValueError("vector_scalar requires q(v) != 0")
-    zero = CliffordElement.zero(space)
-    return CMatrix2(v, zero, zero, v)
+    return CMatrix2.from_entries(space, v, 0, 0, v)
 
 
 def generator(space, kind, which, arg=None):
@@ -323,9 +319,9 @@ def random_generator(space, kind, rng):
         v = _random_anisotropic_vector(space, rng)
         if v is not None:
             return vector_scalar(space, v)
-    if kind == "paravector":
-        return translation(space, kind, random_paravector(space, rng))
-    return translation(space, kind, random_vector(space, rng))
+    return translation(space, kind, CliffordElement(space, {
+        s: _random_scalar(space, rng)
+        for s in part_monomials(space.dim, kind)}))
 
 
 def random_vahlen(space, kind, seed, length, special=False):

@@ -377,6 +377,22 @@ def test_negative_and_zero_coefficient_indices_refused(mixed_space):
     assert CliffordElement.monomial(mixed_space, (0,)).coeffs == {(0,): 1}
 
 
+@pytest.mark.parametrize("indices", [(0, 0), (1, 0), (2,), (5,), (-1,),
+                                     (0, -1)],
+                         ids=["repeated", "decreasing", "at_dim", "past_dim",
+                              "negative", "negative_last"])
+def test_constructor_refuses_bad_index_tuples(indices):
+    """A repeated, decreasing, out-of-range or negative index tuple is not
+    read as some other monomial (dim 2: (0, 0) was e1, (1, 0) was e0e1)."""
+    V = QuadraticSpace(Q, [1, -1])
+    with pytest.raises(ValueError, match="bad monomial indices"):
+        CliffordElement(V, {indices: 1})
+    x = CliffordElement(V, {(): 1, (0,): 2, (1,): 3, (0, 1): 4})
+    with pytest.raises(KeyError):
+        x.coeffs[indices]
+    assert indices not in x.coeffs and x.coeffs.get(indices) is None
+
+
 # -- the integer product kernel against the rewriting reference -----------------
 
 

@@ -492,6 +492,33 @@ def test_cuf_iso_matches_block_form_over_q():
         assert _CUF_to_matrix_reference(chi, V) == m
 
 
+def _matrix_to_CUF_via_CU(m, vuf):
+    """The composition through a separately built V_U: the C(V_U) image
+    embedded into V_{U,F}, then rho_map."""
+    return rho_map(matrix_to_CU(m), vuf)
+
+
+def test_cuf_iso_inside_vuf_matches_composition_through_vu():
+    """Every matrix over every GF(3) form of dim <= 1, and seeded matrices
+    over the dim-4 and dim-5 spaces over Q that `verify` and `act` use."""
+    checked = 0
+    for V in _gf3_forms(1):
+        vuf = V.extend_hyperbolic_rho()
+        for entries in itertools.product(enumerate_elements(V), repeat=4):
+            m = CMatrix2(*entries)
+            assert matrix_to_CUF(m, vuf) == _matrix_to_CUF_via_CU(m, vuf)
+            checked += 1
+    assert checked == 3 ** 4 + 3 * 9 ** 4
+    rng = random.Random(25)
+    pairs = {(0, 1): 1, (2, 3): Fraction(1, 2)}
+    for qdiag in ([1, -1, 2, 0], [1, -1, 2, 0, 3]):
+        V = QuadraticSpace(Q, qdiag, pairs)
+        vuf = V.extend_hyperbolic_rho()
+        for _ in range(20):
+            m = CMatrix2(*(rand_element(V, rng, 0.3) for _ in range(4)))
+            assert matrix_to_CUF(m, vuf) == _matrix_to_CUF_via_CU(m, vuf)
+
+
 def test_iso_peelers_refuse_elements_outside_their_images(degen_space):
     V = degen_space
     vuf = V.extend_hyperbolic_rho()

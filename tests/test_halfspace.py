@@ -7,14 +7,16 @@ from collections import Counter
 
 import pytest
 
-from vahlen import halfspace
+from vahlen import halfspace, matrices
 from vahlen.clifford import CliffordElement
 from vahlen.fields import PrimeField, Q, Scalar
-from vahlen.groups import CMatrix2, probe_elements
+from vahlen.groups import (CMatrix2, CUF_to_matrix, matrix_to_CUF,
+                           probe_elements)
 from vahlen.halfspace import (HalfSpace, InvariantViolation,
                               point_from_json, point_to_json)
 from vahlen.matrices import (NotVahlen, TooLarge, dilation, is_vahlen,
-                             pseudo_det, random_vahlen, translation, weyl)
+                             pseudo_det, random_vahlen, translation,
+                             verify_equivalence_exhaustive, weyl)
 from vahlen.quadratic import QuadraticSpace
 from vahlen.suites import boundary_parts
 
@@ -490,25 +492,35 @@ def test_direct_lift_matches_embedded_sum():
     assert checked > 5000
 
 
-def test_census_computes_each_pseudo_det_once(monkeypatch):
+def _count_det_computations(monkeypatch):
+    """Count, per matrix id, the calls of matrices._det_ok that compute
+    a d* - b c* (those that find no "det" kept on the matrix)."""
     calls = Counter()
     kept = []  # keeps every matrix alive, so its id stays unique
+    real_det_ok = matrices._det_ok
+
+    def counting_det_ok(m, ctx):
+        if "det" not in m._memo:
+            calls[id(m)] += 1
+            kept.append(m)
+        return real_det_ok(m, ctx)
+
+    monkeypatch.setattr(matrices, "_det_ok", counting_det_ok)
+    return calls
+
+
+def test_census_computes_each_pseudo_det_once(monkeypatch):
+    calls = _count_det_computations(monkeypatch)
+    kept = []  # keeps every generator alive, so its id stays unique
     gens = []
-
-    def counting_det(m, kind):
-        calls[id(m), kind] += 1
-        kept.append(m)
-        return pseudo_det(m, kind)
-
     real_generators = HalfSpace.census_generators
 
     def recording_generators(self, group):
         out = real_generators(self, group)
-        gens.extend((id(g), self.kind) for g in out)
+        gens.extend(id(g) for g in out)
         kept.extend(out)
         return out
 
-    monkeypatch.setattr(halfspace, "pseudo_det", counting_det)
     monkeypatch.setattr(HalfSpace, "census_generators", recording_generators)
     # the second has two special-group orbits, so every generator serves
     # two orbit closures on one kept pseudo-determinant
@@ -518,7 +530,7 @@ def test_census_computes_each_pseudo_det_once(monkeypatch):
         for group in ("special", "full"):
             h.orbit_census(group)
     assert gens and all(calls[g] == 1 for g in gens)
-    assert max(calls.values()) == 1
+    assert max(calls.values()) == 1 and set(calls) == set(gens)
 
 
 def test_warm_memo_matches_fresh_matrix_and_reference():
@@ -545,11 +557,11 @@ def test_warm_memo_matches_fresh_matrix_and_reference():
 def test_census_applies_each_generator_once_per_point(monkeypatch):
     """The census on the benchmark configurations does points x generators
     Moebius applications, no more and no fewer."""
-    applied = Counter()
+    applied = Counter()  # keyed by the half-space itself, which it keeps
     real_apply = HalfSpace.mobius_apply
 
     def counting_apply(self, m, p):
-        applied[id(self)] += 1
+        applied[self] += 1
         return real_apply(self, m, p)
 
     monkeypatch.setattr(HalfSpace, "mobius_apply", counting_apply)
@@ -558,9 +570,9 @@ def test_census_applies_each_generator_once_per_point(monkeypatch):
         h = _census_halfspace(p, qdiag, pairs, kind, c)
         report = h.orbit_census("special")
         gens = h.census_generators("special")
-        assert applied[id(h)] == report["point_count"] * len(gens)
-        assert applied[id(h)] == pairs_applied
-        total += applied[id(h)]
+        assert applied[h] == report["point_count"] * len(gens)
+        assert applied[h] == pairs_applied
+        total += applied[h]
     assert total == 14302
 
 
@@ -681,8 +693,7 @@ def test_census_matches_reference_generators(monkeypatch):
 
 def test_kept_entries_follow_the_target_algebra():
     """A matrix over V also acts on the half-space of an extension of V;
-    the entries and the image kept for one algebra are not reused in the
-    other."""
+    the entries kept for one algebra are not reused in the other."""
     V = QuadraticSpace(Q, [1, -1])
     wide = HalfSpace(QuadraticSpace(Q, [1, -1, 2]), 1, "vector")
     narrow = HalfSpace(V, 1, "vector")
@@ -693,8 +704,35 @@ def test_kept_entries_follow_the_target_algebra():
               (narrow, narrow.regular_point([0, 1], -1))]
     for h, p in points:
         assert h.mobius_apply(m, p) == _mobius_reference(h, m, p)
-        # the image kept for the K-model path follows the algebra too
         assert h.equivariance_check(m, p)
+
+
+def test_paravector_paths_build_no_vu():
+    """The paravector action, its K-model path, the exhaustive conditions
+    and the peeler work inside V_{U,F}: none of them builds V_U, which V
+    would keep under "hyp" in its extension cache."""
+    def action(call):
+        V = QuadraticSpace(F3, [1])
+        h = HalfSpace(V, 1, "paravector")
+        m = random_vahlen(V, "paravector", random.Random(25), 4)
+        call(h, m, h.base_point())
+        return V
+
+    paths = [
+        action(lambda h, m, p: h.mobius_apply(m, p)),
+        action(lambda h, m, p: h.orthogonal_apply(m, h.to_K(p))),
+        action(lambda h, m, p: h.equivariance_check(m, p)),
+    ]
+    V = QuadraticSpace(F3, [])
+    assert verify_equivalence_exhaustive(V, "paravector")[
+        "condition_sets_equal"]
+    paths.append(V)
+    V = QuadraticSpace(F3, [2])
+    m = random_vahlen(V, "paravector", random.Random(26), 4)
+    assert CUF_to_matrix(matrix_to_CUF(m, V.extend_hyperbolic_rho()), V) == m
+    paths.append(V)
+    for V in paths:
+        assert "hyprho" in V._ext_cache and "hyp" not in V._ext_cache
 
 
 # -- the part layout ----------------------------------------------------------
@@ -994,17 +1032,9 @@ def test_represented_iff_some_boundary_point():
 @pytest.mark.parametrize("kind", ["vector", "paravector"])
 def test_equivariance_computes_each_pseudo_det_once(kind, monkeypatch):
     """The K-model path divides by the det the Moebius path keeps: 10 seeded
-    matrices, each checked at 3 points of the dim-4 space, one pseudo_det
-    call per matrix."""
-    calls = Counter()
-    kept = []  # keeps every matrix alive, so its id stays unique
-
-    def counting_det(m, kind):
-        calls[id(m), kind] += 1
-        kept.append(m)
-        return pseudo_det(m, kind)
-
-    monkeypatch.setattr(halfspace, "pseudo_det", counting_det)
+    matrices, each checked at 3 points of the dim-4 space, one a d* - b c*
+    computed per matrix."""
+    calls = _count_det_computations(monkeypatch)
     V = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): Q.parse("1/2")})
     h = HalfSpace(V, 1, kind)
     bparts = boundary_parts(h)
