@@ -263,12 +263,7 @@ class CliffordElement:
 
     @classmethod
     def monomial(cls, space, indices, coeff=1):
-        indices = tuple(indices)
-        if list(indices) != sorted(set(indices)):
-            raise ValueError("monomial indices must be strictly increasing")
-        if indices and not 0 <= indices[0] <= indices[-1] < space.dim:
-            raise ValueError("monomial index out of range")
-        return cls(space, {indices: coeff})
+        return cls(space, {tuple(indices): coeff})
 
     @classmethod
     def from_vector(cls, v):

@@ -9,7 +9,6 @@ materialized.
 
 from __future__ import annotations
 
-from . import linalg
 from .clifford import CliffordElement, NotInvertible, monomial_mask, rho_map
 from .quadratic import SpaceMismatch
 
@@ -190,14 +189,6 @@ def pi(x):
 def pi_tilde(x):
     """The special-orthogonal map on F + V in the basis (1, e_1..e_n)."""
     return _conjugation_matrix(x, "paravector", NotInParavectorGroup)
-
-
-def r1_matrix(space):
-    """The reflection in 1 on F + V: negate the scalar slot."""
-    n = space.dim + 1
-    mat = linalg.identity_matrix(n, space.field)
-    mat[0][0] = -mat[0][0]
-    return mat
 
 
 # -- M2(C) = C(V_U) ------------------------------------------------------------

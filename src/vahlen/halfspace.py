@@ -8,10 +8,10 @@ Boundary arithmetic never touches a symbolic infinity: the starred linear
 coefficients are computed from their closed forms.
 
 The action has one formula for all four cases (regular or boundary point,
-regular or boundary image), fed by one tuple (part, s, den, N).  At a
-regular point z = x + t sigma_c, part and s are the part and the sigma
-coefficient of the numerator (az+b) conj(cz+d), with s = t det, and den =
-N(cz+d), N = N(az+b); at a boundary point they are the starred
+regular or boundary image), fed by one tuple (part, s, den, N) of raw
+values.  At a regular point z = x + t sigma_c, part and s are the part and
+the sigma coefficient of the numerator (az+b) conj(cz+d), with s = t det,
+and den = N(cz+d), N = N(az+b); at a boundary point they are the starred
 coefficients, with s = det.  The image is the regular point (part, s)/den
 when den != 0 and the boundary point (part, N)/s otherwise, and the value
 identity reads q(part) = c s^2 - N den.
@@ -26,20 +26,28 @@ The parts of every Moebius formula that depend on the matrix alone are
 built once per matrix, on the first point that needs them, and kept in the
 matrix's memo: N(c), N(a), a conj(c) and the conjugates of the entries for
 a boundary point under "boundary", and the entries embedded in C(V_F^c) for
-a regular point under ("regular", kind, c), kept next to that algebra and
-rebuilt when the matrix meets a half-space over a different one.  The
+a regular point under ("regular", kind, raw c), kept next to that algebra
+and rebuilt when the matrix meets a half-space over a different one.  The
 pseudo-determinant is matrices.pseudo_det's, which checks membership and
 keeps the scalar on the matrix.  A CMatrix2 is never changed once built
 and every constant is an exact function of its entries (and the target
 algebra), so a kept constant equals the one recomputed at every point.
 The formula itself still runs once per (point, matrix).
 
-Over GF(p) the finite sets (parts, points, K-vectors) are scanned as
-residue tuples in numeral order, with q and the radical tested on the raw
-form of the space; only the hits become Scalars.
+A point holds the raw values a Scalar holds: residues in 0..p-1 over
+GF(p), reduced Fractions over Q.  The Moebius path runs on them: lift
+builds the C(V_F^c) store from them directly, _split reads raw values
+back, and the image takes one inverse of den (or s).  Scalars are built
+only where a caller reads a point's part or height.  Over GF(p)
+the finite sets (parts, points, K-vectors) are scanned as residue tuples in
+numeral order, with q and the radical tested on the raw form of the space;
+points keep their residue tuples, and only the K-set's hits become Scalars.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 from .clifford import CliffordElement, mask_indices, monomial_mask
 from .fields import InfiniteField, PrimeField, Scalar, residue_tuples
@@ -61,25 +69,38 @@ class InvariantViolation(ValueError):
 
 
 class HPoint:
-    """A point of the completed half-space, componentwise data only."""
+    """A point of the completed half-space: its field, the part as a tuple
+    of raw values and the raw height, which equality and hashing read;
+    part and height are read-only Scalar views."""
 
-    __slots__ = ("boundary", "part", "height")
+    __slots__ = ("boundary", "field", "raw_part", "raw_height")
 
-    def __init__(self, boundary, part, height):
+    def __init__(self, boundary, field, raw_part, raw_height):
         self.boundary = boundary
-        self.part = tuple(part)
-        self.height = height
+        self.field = field
+        self.raw_part = raw_part
+        self.raw_height = raw_height
 
     @property
     def regular(self):
         return not self.boundary
 
+    @property
+    def part(self):
+        return tuple(Scalar(self.field, v) for v in self.raw_part)
+
+    @property
+    def height(self):
+        return Scalar(self.field, self.raw_height)
+
     def __eq__(self, other):
         return (isinstance(other, HPoint) and other.boundary == self.boundary
-                and other.part == self.part and other.height == self.height)
+                and other.raw_part == self.raw_part
+                and other.raw_height == self.raw_height
+                and (other.field is self.field or other.field == self.field))
 
     def __hash__(self):
-        return hash((self.boundary, self.part, self.height))
+        return hash((self.boundary, self.raw_part, self.raw_height))
 
     def __repr__(self):
         label = "boundary" if self.boundary else "regular"
@@ -115,20 +136,15 @@ class HalfSpace:
 
     # -- parts: V-coordinates, or (scalar, V-coordinates) for paravectors ----
 
-    def zero_part(self):
-        return (self.field.zero,) * self.part_len
-
-    def make_part(self, coords):
-        coords = tuple(self.field.element(c) for c in coords)
-        if len(coords) != self.part_len:
+    def _raw_part(self, coords):
+        part = tuple(map(self.field.raw, coords))
+        if len(part) != self.part_len:
             raise ValueError("part length mismatch")
-        return coords
+        return part
 
     def part_element(self, part):
         """The part as an element of C(V)."""
-        element = self.field.element
-        return CliffordElement(self.space, {
-            s: element(x) for s, x in zip(self._monos, part, strict=True)})
+        return _store(self.space, [*zip(self._slot, self._raw_part(part))])
 
     @property
     def part_space(self):
@@ -148,9 +164,6 @@ class HalfSpace:
     def part_q(self, part):
         return self.part_space.q(part)
 
-    def part_pairing(self, part, other):
-        return self.part_space.bilinear(part, other)
-
     def part_in_radical(self, part):
         return self.part_space.in_radical(part)
 
@@ -161,26 +174,29 @@ class HalfSpace:
 
     # -- points ----------------------------------------------------------------
 
-    def regular_point(self, part, t):
-        part = self.make_part(part)
-        t = self.field.element(t)
-        if t.is_zero():
+    def _point(self, boundary, part, h):
+        """The point of a raw part and height, which must hold t != 0, or
+        q(u) = c and, at c = 0 with u in the radical, b != 0."""
+        if boundary:
+            form, c = self.part_space.raw, self.c.value
+            if form.q(part) != c:
+                raise InvariantViolation("boundary part must have q-value c")
+            if c == 0 and h == 0 and form.in_radical(part):
+                raise InvariantViolation(
+                    "radical boundary part requires b != 0 when c = 0")
+        elif h == 0:
             raise InvariantViolation("regular point needs t != 0")
-        return HPoint(False, part, t)
+        return HPoint(boundary, self.field, part, h)
+
+    def regular_point(self, part, t):
+        return self._point(False, self._raw_part(part), self.field.raw(t))
 
     def boundary_point(self, part, b):
-        part = self.make_part(part)
-        b = self.field.element(b)
-        if self.part_q(part) != self.c:
-            raise InvariantViolation("boundary part must have q-value c")
-        if self.c.is_zero() and self.part_in_radical(part) and b.is_zero():
-            raise InvariantViolation(
-                "radical boundary part requires b != 0 when c = 0")
-        return HPoint(True, part, b)
+        return self._point(True, self._raw_part(part), self.field.raw(b))
 
     def base_point(self):
         """sigma_c itself."""
-        return self.regular_point(self.zero_part(), self.field.one)
+        return self.regular_point((0,) * self.part_len, 1)
 
     def represented(self):
         """Is c a q-value of the part space (finite fields by enumeration)?"""
@@ -193,22 +209,25 @@ class HalfSpace:
         """x + t sigma_c as an element of C(V_F^c); regular points only."""
         if p.boundary:
             raise InvariantViolation("boundary points have no finite lift")
-        return CliffordElement._values(
-            self.sigma_space,
-            [*zip(self._slot, p.part), (1 << self.sigma_idx, p.height)])
+        return _store(self.sigma_space, [*zip(self._slot, p.raw_part),
+                                         (1 << self.sigma_idx, p.raw_height)])
 
     def _split(self, x):
-        """Split an element of C(V_F^c) into (part tuple, sigma coefficient);
-        anything outside F+V+F sigma (or V+F sigma) is an invariant failure."""
-        zero = self.field.zero
+        """Split an element of C(V_F^c) into (part tuple, sigma coefficient)
+        of raw values; anything outside F+V+F sigma (or V+F sigma) is an
+        invariant failure."""
+        zero = self.field.zero.value
         part = [zero] * self.part_len
         sigma_coeff = zero
         sigma, slot = 1 << self.sigma_idx, self._slot
+        den = None if self.field.modulus else x.den
         for s, n in x.terms.items():
+            if den:
+                n = Fraction(n, den)
             if s in slot:
-                part[slot[s]] = x._scalar(n)
+                part[slot[s]] = n
             elif s == sigma:
-                sigma_coeff = x._scalar(n)
+                sigma_coeff = n
             else:
                 raise InvariantViolation("Moebius numerator has an illegal "
                                          f"term {mask_indices(s)}: {x!r}")
@@ -219,7 +238,7 @@ class HalfSpace:
     def _regular_constants(self, m):
         """The entries embedded in C(V_F^c), kept on m next to that algebra;
         rebuilt when the matrix last met a half-space over another one."""
-        key, algebra = ("regular", self.kind, self.c), self.sigma_space
+        key, algebra = ("regular", self.kind, self.c.value), self.sigma_space
         hit = m._memo.get(key)
         if hit is None or hit[0] is not algebra:
             hit = m._memo[key] = (algebra, tuple(x.embed(algebra)
@@ -245,44 +264,46 @@ class HalfSpace:
         lower = c * z + d
         lower_bar = lower.conj()
         part, s = self._split(upper * lower_bar)
-        if s != p.height * det:
+        if s != self.field._coerce(p.raw_height * det):
             raise InvariantViolation("sigma coefficient should be t det")
-        return (part, s, (lower * lower_bar).to_scalar(),
-                upper.norm().to_scalar())
+        return (part, s, (lower * lower_bar).to_scalar().value,
+                upper.norm().to_scalar().value)
 
     def _boundary_data(self, m, p, det):
         """(part, det, den*, N*) at a boundary point: the starred linear
         coefficients, from their closed forms entirely inside C(V)."""
         a, b, c, d = m.entries()
         norm_c, norm_a, a_cbar, ab, bb, cb, db = self._boundary_constants(m)
-        u = self.part_element(p.part)
-        ub, height = u.conj(), p.height
+        u = self.part_element(p.raw_part)
+        ub, height = u.conj(), p.raw_height
         au, bub = a * u, b * ub
-        den_star = (norm_c * height + (c * u * db + d * ub * cb)).to_scalar()
-        num_norm_star = (norm_a * height + (au * bb + bub * ab)).to_scalar()
+        den_star = (norm_c * height + (c * u * db + d * ub * cb)
+                    ).to_scalar().value
+        num_norm_star = (norm_a * height + (au * bb + bub * ab)
+                         ).to_scalar().value
         star = a_cbar * height + (au * db + bub * cb)
         return self._element_to_part(star), det, den_star, num_norm_star
 
     def _action_data(self, m, p):
         """(part, s, den, N) of the Moebius formula at p, either kind;
         pseudo_det refuses a non-Vahlen matrix first."""
-        det = pseudo_det(m, self.kind)
+        det = pseudo_det(m, self.kind).value
         if p.boundary:
             return self._boundary_data(m, p, det)
         return self._regular_data(m, p, det)
 
     def mobius_denominator(self, p, m):
         """den: N(cz + d), or its starred coefficient at the boundary."""
-        return self._action_data(m, p)[2]
+        return Scalar(self.field, self._action_data(m, p)[2])
 
     def mobius_apply(self, m, p):
         """(part, s)/den if den != 0, else the boundary point (part, N)/s."""
         part, s, den, norm = self._action_data(m, p)
-        if not den.is_zero():
-            inv = den.inverse()
-            return self.regular_point([x * inv for x in part], s * inv)
-        inv = s.inverse()
-        return self.boundary_point([x * inv for x in part], norm * inv)
+        boundary = den == 0
+        h, inv = (norm, s) if boundary else (s, den)
+        mod, inv = self.field.modulus, self.field._div(1, inv)
+        out = [x * inv % mod if mod else x * inv for x in (*part, h)]
+        return self._point(boundary, tuple(out[:-1]), out[-1])
 
     # -- the K-model ---------------------------------------------------------------
 
@@ -351,7 +372,8 @@ class HalfSpace:
     def value_identity_check(self, m, p):
         """q(part) = c s^2 - N den, starred at a boundary point."""
         part, s, den, norm = self._action_data(m, p)
-        return self.part_q(part) == self.c * s * s - norm * den
+        return self.part_space.raw.q(part) == self.field._coerce(
+            self.c.value * s * s - norm * den)
 
     def stabilizer_shape_check(self, m):
         """(stabilizes sigma_c, matches the (d', -c g'; g, d) shape); the two
@@ -378,28 +400,19 @@ class HalfSpace:
         """Every n-tuple of residues in numeral order (GF(p) only)."""
         return residue_tuples(self._modulus(), n)
 
-    def _parts(self):
-        """(residues, part) for every part, in numeral order."""
-        field = self.field
-        return ((t, tuple(Scalar(field, v) for v in t))
-                for t in self._residues(self.part_len))
-
     def enumerate_points(self, max_points=10**6):
-        parts = self._parts()  # InfiniteField over Q, before p is read
-        p = self.field.modulus
+        p = self._modulus()
         bound = p ** self.part_len * (2 * p - 1)
         if bound > max_points:
             raise TooLarge(f"up to {bound} points exceed {max_points}")
-        form, c = self.part_space.raw, self.c.value
-        heights = list(self.field.elements())
+        form, c, field = self.part_space.raw, self.c.value, self.field
         points = []
-        for t, part in parts:
-            for h in heights[1:]:
-                points.append(HPoint(False, part, h))
+        for t in self._residues(self.part_len):
+            points += [HPoint(False, field, t, h) for h in range(1, p)]
             if form.q(t) == c:
                 skip_zero = c == 0 and form.in_radical(t)
-                for b in heights[skip_zero:]:
-                    points.append(HPoint(True, part, b))
+                points += [HPoint(True, field, t, b)
+                           for b in range(skip_zero, p)]
         return points
 
     def k_set(self):
@@ -509,7 +522,7 @@ class HalfSpace:
             part_count = self.field.modulus ** self.part_len
             realized = sorted(
                 (t for t in (p.height for p in base_orbit
-                             if p.part == self.zero_part())),
+                             if not any(p.raw_part))),
                 key=lambda s: s.value)
             realized_set = set(realized)
             closed = all(x * y in realized_set
@@ -541,7 +554,17 @@ class HalfSpace:
 
 
 def _point_sort_key(p):
-    return (p.boundary, tuple(s.value for s in p.part), p.height.value)
+    return p.boundary, p.raw_part, p.raw_height
+
+
+def _store(space, items):
+    """The element of C(space) with coefficients the raw values of (mask,
+    value) items, stored directly: CliffordElement._values, uncoerced."""
+    if space.field.modulus:
+        return CliffordElement._of(space, dict(items))
+    den = lcm(*(v.denominator for _, v in items))
+    return CliffordElement._of(space, {
+        s: v.numerator * (den // v.denominator) for s, v in items}, den)
 
 
 def _diag(space, top, bottom):

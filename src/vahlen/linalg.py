@@ -96,11 +96,6 @@ def det(matrix, field):
     return result
 
 
-def is_invertible(matrix):
-    n = len(matrix)
-    return n == 0 or (len(matrix[0]) == n and rank(matrix) == n)
-
-
 def mat_mul(a, b, field):
     if not a or not b:
         return []
@@ -125,8 +120,3 @@ def mat_vec(a, v, field):
             acc = acc + x * y
         out.append(acc)
     return out
-
-
-def identity_matrix(n, field):
-    return [[field.one if i == j else field.zero for j in range(n)]
-            for i in range(n)]

@@ -9,12 +9,22 @@ on each tree, then ``diff`` the two files.  The forms are every GF(3) form
 of dim <= 2, every GF(5) and GF(7) form of dim <= 1, and every GF(5) form
 of dim <= 2 with pair values 0 or 1 (so GF(5) dim <= 1 runs twice), each
 for every c, both kinds and both groups: 1,836 censuses.
+
+With ``--subset`` it prints only the lines of every GF(3) and GF(5) form
+of dim <= 1 (168 censuses, no total line): the golden lines that
+tests/test_census_golden.py compares against.  A change that alters census
+reports on purpose regenerates them with
+
+    PYTHONPATH=src python tests/census_sweep.py --subset \
+        > tests/census_subset.txt
+
 The file name lacks ``test_``, so pytest does not collect it.
 """
 
 import hashlib
 import itertools
 import json
+import sys
 
 from vahlen.fields import PrimeField
 from vahlen.halfspace import HalfSpace
@@ -31,10 +41,19 @@ def forms(field, max_dim, pair_values=None):
                 yield field, qdiag, dict(zip(keys, pv))
 
 
-def sweep():
-    F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
-    for field, qdiag, pairs in itertools.chain(
-            forms(F3, 2), forms(F5, 1), forms(F7, 1), forms(F5, 2, (0, 1))):
+def subset():
+    """Every GF(3) and GF(5) form of dim <= 1."""
+    return itertools.chain(forms(PrimeField(3), 1), forms(PrimeField(5), 1))
+
+
+def sweep(sources=None):
+    """One line per census of the forms of sources, the full sweep's by
+    default."""
+    if sources is None:
+        F3, F5, F7 = PrimeField(3), PrimeField(5), PrimeField(7)
+        sources = itertools.chain(forms(F3, 2), forms(F5, 1), forms(F7, 1),
+                                  forms(F5, 2, (0, 1)))
+    for field, qdiag, pairs in sources:
         space = QuadraticSpace(field, qdiag, pairs)
         for c in range(field.modulus):
             for kind in ("vector", "paravector"):
@@ -49,6 +68,10 @@ def sweep():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--subset"]:
+        for line in sweep(subset()):
+            print(line)
+        sys.exit(0)
     total, count = hashlib.sha256(), 0
     for line in sweep():
         print(line, flush=True)

@@ -11,16 +11,18 @@ import pytest
 
 from vahlen import linalg
 from vahlen.clifford import CliffordElement, all_monomials, enumerate_elements
-from vahlen.fields import PrimeField, Q
+from vahlen.fields import PrimeField, Q, residue_tuples
 from vahlen.groups import (CMatrix2, CU_to_matrix, CUF_to_matrix,
                            matrix_involution, matrix_to_CU, matrix_to_CUF,
                            in_group, pi, pi_tilde)
 from vahlen.halfspace import HalfSpace
 from vahlen.matrices import (dilation, is_vahlen, pseudo_det, random_vahlen,
                              translation, verify_equivalence_exhaustive)
-from vahlen.quadratic import (QuadraticSpace, is_orthogonal_fixing_radical,
-                              reflection_matrix)
+from vahlen.quadratic import QuadraticSpace
 from vahlen.suites import boundary_parts, sample_point
+
+from matrix_helpers import (identity_matrix, is_orthogonal_fixing_radical,
+                            reflection_matrix)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -214,7 +216,7 @@ def test_group_theoretic_suite():
         rng = random.Random(f"acceptance6:{space!r}")
         field = space.field
         n = space.dim
-        ident = linalg.identity_matrix(n, field)
+        ident = identity_matrix(n, field)
         for _ in range(80):
             x = _random_gamma_fx(space, rng, rng.randint(1, 4))
             y = _random_gamma_fx(space, rng, rng.randint(1, 4))
@@ -302,14 +304,15 @@ def _check_boundary_closed_form(hs, a, xi_part, p):
     m = translation(hs.space, hs.kind, hs.part_element(xi_part)) \
         * dilation(hs.space, a)
     img = hs.mobius_apply(m, p)
-    expected = a * p.height - hs.part_pairing(p.part, xi_part)
+    expected = a * p.height - hs.part_space.bilinear(p.part, xi_part)
     return (img.boundary and img.part == p.part
             and img.height == expected)
 
 
 def _all_parts(hs):
     """Every part of a GF(p) half-space, in numeral order."""
-    return [part for _, part in hs._parts()]
+    return [tuple(map(hs.field.element, t))
+            for t in residue_tuples(hs.field.modulus, hs.part_len)]
 
 
 def test_boundary_closed_form():

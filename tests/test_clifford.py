@@ -367,7 +367,7 @@ def test_negative_and_zero_coefficient_indices_refused(mixed_space):
     """A negative index is not read as counting from the last generator,
     and a bad term is refused even when its coefficient is zero."""
     for indices in ((-1,), (-1, 0), (-2, -1)):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="bad monomial indices"):
             CliffordElement.monomial(mixed_space, indices)
         with pytest.raises(ValueError, match="bad monomial indices"):
             element_from_json(mixed_space,

@@ -15,9 +15,11 @@ from vahlen.fields import PrimeField, Q
 from vahlen.groups import (CMatrix2, CU_to_matrix, CUF_to_matrix,
                            NotInCliffordGroup, in_group, lands,
                            matrix_involution, matrix_to_CU, matrix_to_CUF,
-                           pi, pi_tilde, probe_elements, r1_matrix)
-from vahlen.quadratic import (QuadraticSpace, is_orthogonal_fixing_radical,
-                              reflection_matrix)
+                           pi, pi_tilde, probe_elements)
+from vahlen.quadratic import QuadraticSpace
+
+from matrix_helpers import (identity_matrix, is_orthogonal_fixing_radical,
+                            r1_matrix, reflection_matrix)
 
 F3 = PrimeField(3)
 
@@ -60,8 +62,8 @@ def test_scalars_are_central_gamma(degen_space):
     a = CliffordElement.scalar(degen_space, 5)
     assert in_group(a, "gamma")
     assert in_group(a, "gamma_fx")
-    assert pi(a) == linalg.identity_matrix(3, Q)
-    assert pi_tilde(a) == linalg.identity_matrix(4, Q)
+    assert pi(a) == identity_matrix(3, Q)
+    assert pi_tilde(a) == identity_matrix(4, Q)
 
 
 def test_vector_memberships(degen_space):
@@ -82,7 +84,7 @@ def test_twisted_center(degen_space):
     one = CliffordElement.one(V)
     assert in_group(one + r, "twisted_center")
     assert in_group(one + r, "gamma")  # kernel of pi
-    assert pi(one + r) == linalg.identity_matrix(3, Q)
+    assert pi(one + r) == identity_matrix(3, Q)
     e0 = CliffordElement.monomial(V, (0,))
     assert not in_group(one + e0, "twisted_center")
     # nondegenerate: the twisted center reduces to the scalars
@@ -226,7 +228,7 @@ def test_pi_is_reflection(degen_space):
 def test_pi_properties(degen_space):
     V = degen_space
     rng = random.Random(2)
-    ident = linalg.identity_matrix(3, Q)
+    ident = identity_matrix(3, Q)
     for _ in range(40):
         x = rand_gamma_fx(V, rng)
         y = rand_gamma_fx(V, rng)
@@ -258,7 +260,7 @@ def test_pi_tilde_properties(degen_space):
     V = degen_space
     rng = random.Random(3)
     n1 = V.dim + 1
-    ident = linalg.identity_matrix(n1, Q)
+    ident = identity_matrix(n1, Q)
     r1 = r1_matrix(V)
     for _ in range(30):
         x = rand_gamma_fx(V, rng, factors=2)

@@ -4,12 +4,13 @@ formula, equivariance, value identities, stabilizers, and orbit censuses."""
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from vahlen import halfspace, matrices
 from vahlen.clifford import CliffordElement
-from vahlen.fields import PrimeField, Q, Scalar
+from vahlen.fields import PrimeField, Q, Scalar, residue_tuples
 from vahlen.groups import (CMatrix2, CUF_to_matrix, matrix_to_CUF,
                            probe_elements)
 from vahlen.halfspace import (HalfSpace, InvariantViolation,
@@ -107,7 +108,7 @@ def test_boundary_closed_form(hs):
         img = hs.mobius_apply(m, p)
         assert img.boundary
         assert img.part == p.part
-        assert img.height == a * b - hs.part_pairing(u, tuple(xi.coords))
+        assert img.height == a * b - hs.part_space.bilinear(u, xi.coords)
 
 
 def test_semidirect_acts_simply_transitively_on_regulars(hs):
@@ -585,12 +586,19 @@ def test_census_applies_each_generator_once_per_point(monkeypatch):
 # diagonals; the first test after them checks that matrix by matrix.
 
 
+def _parts(h):
+    """(residues, part) for every part of a GF(p) half-space, in numeral
+    order, the part as Scalars."""
+    return ((t, tuple(Scalar(h.field, v) for v in t))
+            for t in residue_tuples(h.field.modulus, h.part_len))
+
+
 def _norm_diagonals_reference(h):
     """(delta' / -q(delta), 0; 0, delta) for the first part delta of each
     nonzero q-value, in numeral order."""
     space, seen, gens = h.space, set(), []
     q = h.part_space.raw.q
-    for t, part in h._parts():
+    for t, part in _parts(h):
         value = q(t)
         if not value or value in seen:
             continue
@@ -630,7 +638,7 @@ def _transitivity_witness_reference(h, a):
     field, space = h.field, h.space
     p, c, q = field.modulus, h.c.value, h.part_space.raw.q
     target = (-a.inverse()).value
-    for t, part in h._parts():
+    for t, part in _parts(h):
         qt = q(t)
         for dv in range(1, p):
             if (qt - c * dv * dv - target) % p == 0:
@@ -1051,3 +1059,112 @@ def test_equivariance_computes_each_pseudo_det_once(kind, monkeypatch):
         for p in points:
             assert h.equivariance_check(m, p)
     assert len(calls) == 10 and set(calls.values()) == {1}
+
+
+# -- points on raw values -------------------------------------------------------
+#
+# A point keeps raw values and the Moebius path runs on them; the Scalar
+# references above are the oracles.
+
+
+def _sample_points(points, rng, count):
+    """A seeded sample of up to count regular and count boundary points."""
+    out = []
+    for boundary in (False, True):
+        pool = [p for p in points if p.boundary == boundary]
+        out += rng.sample(pool, min(count, len(pool)))
+    return out
+
+
+def test_action_path_matches_references_over_gf5():
+    """Every reference special census generator of every GF(5) half-space
+    of dim <= 1 (every qdiag, every c and both kinds), at three seeded
+    regular and up to three seeded boundary points."""
+    rng = random.Random(26)
+    cases = Counter()
+    for h in _halfspaces(F5, 1):
+        points = _sample_points(h.enumerate_points(), rng, 3)
+        for g in _census_generators_reference(h, "special"):
+            for p in points:
+                cases[_check_action(h, g, p)] += 1
+    assert cases == {"rr": 1527, "rb": 33, "br": 108, "bb": 1026}
+
+
+def test_action_path_matches_references_on_census_configs():
+    """Every reference special census generator of the seven census
+    benchmark configurations, at four seeded regular and up to four seeded
+    boundary points."""
+    rng = random.Random(27)
+    cases = Counter()
+    for p, qdiag, pairs, kind, c, _ in CENSUS_CONFIGS:
+        h = _census_halfspace(p, qdiag, pairs, kind, c)
+        points = _sample_points(h.enumerate_points(), rng, 4)
+        for g in _census_generators_reference(h, "special"):
+            for point in points:
+                cases[_check_action(h, g, point)] += 1
+    assert cases == {"rr": 303, "rb": 9, "br": 25, "bb": 287}
+
+
+def _views_ok(h, p):
+    """part and height are Scalars of h's field; over Q they hold
+    Fractions, as every Scalar over Q does."""
+    views = (*p.part, p.height)
+    return all(type(x) is Scalar and x.field == h.field
+               and (h.field.modulus or type(x.value) is Fraction)
+               for x in views)
+
+
+def _same_point(points):
+    first = points[0]
+    return all(p == first and hash(p) == hash(first) for p in points)
+
+
+def test_points_from_every_source_are_equal_and_hash_alike():
+    """A point built by regular_point or boundary_point from Scalars, from
+    unreduced ints and from Fractions equals, and hashes like, the same
+    point from enumerate_points and from mobius_apply."""
+    h = _census_halfspace(*CENSUS_CONFIGS[3][:5])
+    points = h.enumerate_points()
+    by_view = {(p.boundary, p.part, p.height): p for p in points}
+    gens = h.census_generators("special")
+    kinds = Counter()
+    for i, p in enumerate(points):
+        img = h.mobius_apply(gens[i % len(gens)], p)
+        build = h.boundary_point if img.boundary else h.regular_point
+        values = [x.value for x in (*img.part, img.height)]
+        built = [build(img.part, img.height),
+                 build([v - 5 * i for v in values[:-1]], values[-1] + 5),
+                 build([Fraction(2 * v + 5, 2) for v in values[:-1]],
+                       Fraction(2 * values[-1] + 5, 2))]
+        assert _same_point([img, by_view[img.boundary, img.part, img.height],
+                            *built])
+        assert all(_views_ok(h, q) for q in (img, *built))
+        kinds[img.boundary] += 1
+    assert len(kinds) == 2
+    hq = HalfSpace(QuadraticSpace(Q, [1, -1]), 1, "vector")
+    V = hq.space
+    m = translation(V, "vector", V.vector([1, 2]))
+    img = hq.mobius_apply(m, hq.regular_point([3, 1], 2))
+    assert _same_point([img, hq.regular_point([4, 3], 2),
+                        hq.regular_point([Fraction(8, 2), Fraction(3)],
+                                         Fraction(2)),
+                        hq.regular_point([Q.element(4), Q.element(3)],
+                                         Q.element(2))])
+    img = hq.mobius_apply(m * dilation(V, 2), hq.boundary_point([1, 0], 5))
+    assert _same_point([img, hq.boundary_point([1, 0], 8),
+                        hq.boundary_point([Fraction(1), 0], Fraction(16, 2)),
+                        hq.boundary_point([Q.one, Q.zero], Q.element(8))])
+    assert _views_ok(hq, img) and _views_ok(hq, hq.base_point())
+
+
+def test_points_of_two_fields_with_equal_residues_are_unequal():
+    """A GF(3) point and a GF(5) point with equal residues differ, and the
+    comparison raises nothing."""
+    pairs = []
+    for build in ("regular_point", "boundary_point"):
+        p3, p5 = (getattr(HalfSpace(QuadraticSpace(f, [1]), 1, "vector"),
+                          build)([1], 2) for f in (F3, F5))
+        assert p3.raw_part == p5.raw_part and p3.raw_height == p5.raw_height
+        assert p3 != p5 and not p3 == p5 and p5 != p3
+        pairs += [p3, p5]
+    assert len(set(pairs)) == 4

@@ -9,9 +9,11 @@ import pytest
 from vahlen.fields import PrimeField, Q
 from vahlen.halfspace import HalfSpace
 from vahlen.quadratic import (QuadraticSpace, SpaceMismatch,
-                              is_orthogonal_fixing_radical, reflection_matrix,
                               space_from_json, space_to_json,
                               vector_from_json, vector_to_json)
+
+from matrix_helpers import (identity_matrix, is_orthogonal_fixing_radical,
+                            reflection_matrix)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -19,7 +21,7 @@ F5 = PrimeField(5)
 
 def test_q_values():
     V = QuadraticSpace(Q, [1, 1])
-    assert V.zero_vector().q() == Q.zero
+    assert V.vector([0, 0]).q() == Q.zero
     assert V.vector([1, 1]).q() == Q.element(2)
     hyp = QuadraticSpace(Q, []).extend_hyperbolic()
     # h(ae + bf) = ab
@@ -108,7 +110,7 @@ def test_reflection_is_orthogonal_involution():
     r = reflection_matrix(v)
     assert is_orthogonal_fixing_radical(r, V)
     # r_v is an involution
-    from vahlen.linalg import mat_mul, identity_matrix
+    from vahlen.linalg import mat_mul
     assert mat_mul(r, r, Q) == identity_matrix(3, Q)
     with pytest.raises(ZeroDivisionError):
         reflection_matrix(V.vector([0, 0, 1]))
