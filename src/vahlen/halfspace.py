@@ -59,8 +59,8 @@ from .quadratic import QuadraticSpace
 
 
 # the _census_work an orbit census may reach: the GF(11) dim-2 paravector
-# census at c = 1 (_census_work 1.23e6) takes 16 s and the GF(7) dim-3
-# one (0.91e6) 17 s (2-vCPU Xeon VM, Python 3.11)
+# census at c = 1 (_census_work 1.23e6) takes 8 s and the GF(7) dim-3
+# one (0.91e6) 8 s (2-vCPU Xeon VM, Python 3.11)
 MAX_CENSUS_WORK = 2 * 10**6
 
 
@@ -126,12 +126,12 @@ class HalfSpace:
         self.f_idx = self.uspace.labels["f"]
         # slot -> monomial of C(V), monomial mask -> slot, and slot ->
         # (coordinate of V_U or V_{U,F}, negated?): the scalar slot is -rho
-        self._monos = part_monomials(space.dim, kind)
-        self._slot = {monomial_mask(s): k for k, s in enumerate(self._monos)}
+        monos = part_monomials(space.dim, kind)
+        self._slot = {monomial_mask(s): k for k, s in enumerate(monos)}
         self._u_idx = tuple((s[0], False) if s
                             else (self.uspace.labels["rho"], True)
-                            for s in self._monos)
-        self.part_len = len(self._monos)
+                            for s in monos)
+        self.part_len = len(monos)
         self._part_space = None
 
     # -- parts: V-coordinates, or (scalar, V-coordinates) for paravectors ----
