@@ -439,11 +439,16 @@ class CliffordElement:
         n = self.terms.get(0)
         return self.space.field.zero if n is None else self._scalar(n)
 
-    def to_scalar(self):
-        """Checked extraction; scalarness failing is a reportable outcome."""
+    def scalar_value(self):
+        """The raw value of a scalar element; anything else is NotScalar."""
         if not self.is_scalar():
             raise NotScalar(f"not a scalar: {self!r}")
-        return self.scalar_part()
+        n = self.terms.get(0, 0)
+        return n if self.space.field.modulus else Fraction(n, self.den)
+
+    def to_scalar(self):
+        """Checked extraction; scalarness failing is a reportable outcome."""
+        return Scalar(self.space.field, self.scalar_value())
 
     def vector_coords(self):
         coords = [self.space.field.zero] * self.space.dim

@@ -34,6 +34,15 @@ and every constant is an exact function of its entries (and the target
 algebra), so a kept constant equals the one recomputed at every point.
 The formula itself still runs once per (point, matrix).
 
+The K-model action w -> eta w eta^T / det runs on C(V)'s products.  Phi =
+matrix_to_CU is multiplicative and Phi(tau(m)) = Phi(m)^T, for tau =
+matrix_involution(., "transpose"): (a, b; c, d) -> (d', b', c', a'), x' =
+conj(x).  So the image is Phi(m Phi^-1(w) tau(m)).  For Phi' =
+matrix_to_CUF, w rho^-1 = -w rho is even (q(rho) = -1), and so is eta;
+rho eta^T = alpha'(eta^T) rho, alpha' negating the terms with an odd number
+of generators other than rho, and alpha' after the transpose is tau under
+Phi', so the image is Phi'(m Phi'^-1(w rho^-1) tau(m)) rho.
+
 A point holds the raw values a Scalar holds: residues in 0..p-1 over
 GF(p), reduced Fractions over Q.  The Moebius path runs on them: lift
 builds the C(V_F^c) store from them directly, _split reads raw values
@@ -51,11 +60,11 @@ from math import lcm
 
 from .clifford import CliffordElement, mask_indices, monomial_mask
 from .fields import InfiniteField, PrimeField, Scalar, residue_tuples
-from .groups import (lands, matrix_to_CU, matrix_to_CUF, part_monomials,
-                     probe_elements)
+from .groups import (CU_to_matrix, CUF_to_matrix, lands, matrix_involution,
+                     matrix_to_CU, matrix_to_CUF, part_monomials, probe_elements)
 from .matrices import (CMatrix2, TooLarge, dilation, is_vahlen, pseudo_det,
                        translation, weyl)
-from .quadratic import QuadraticSpace
+from .quadratic import QuadraticSpace, SpaceMismatch
 
 
 # the _census_work an orbit census may reach: the GF(11) dim-2 paravector
@@ -80,10 +89,6 @@ class HPoint:
         self.field = field
         self.raw_part = raw_part
         self.raw_height = raw_height
-
-    @property
-    def regular(self):
-        return not self.boundary
 
     @property
     def part(self):
@@ -163,9 +168,6 @@ class HalfSpace:
 
     def part_q(self, part):
         return self.part_space.q(part)
-
-    def part_in_radical(self, part):
-        return self.part_space.in_radical(part)
 
     def _element_to_part(self, x):
         """Inverse of part_element, by _split: x in C(V) carries no sigma,
@@ -266,8 +268,8 @@ class HalfSpace:
         part, s = self._split(upper * lower_bar)
         if s != self.field._coerce(p.raw_height * det):
             raise InvariantViolation("sigma coefficient should be t det")
-        return (part, s, (lower * lower_bar).to_scalar().value,
-                upper.norm().to_scalar().value)
+        return (part, s, (lower * lower_bar).scalar_value(),
+                upper.norm().scalar_value())
 
     def _boundary_data(self, m, p, det):
         """(part, det, den*, N*) at a boundary point: the starred linear
@@ -278,9 +280,9 @@ class HalfSpace:
         ub, height = u.conj(), p.raw_height
         au, bub = a * u, b * ub
         den_star = (norm_c * height + (c * u * db + d * ub * cb)
-                    ).to_scalar().value
+                    ).scalar_value()
         num_norm_star = (norm_a * height + (au * bb + bub * ab)
-                         ).to_scalar().value
+                         ).scalar_value()
         star = a_cbar * height + (au * db + bub * cb)
         return self._element_to_part(star), det, den_star, num_norm_star
 
@@ -291,10 +293,6 @@ class HalfSpace:
         if p.boundary:
             return self._boundary_data(m, p, det)
         return self._regular_data(m, p, det)
-
-    def mobius_denominator(self, p, m):
-        """den: N(cz + d), or its starred coefficient at the boundary."""
-        return Scalar(self.field, self._action_data(m, p)[2])
 
     def mobius_apply(self, m, p):
         """(part, s)/den if den != 0, else the boundary point (part, N)/s."""
@@ -352,16 +350,22 @@ class HalfSpace:
                      for j, negate in self._u_idx)
         return part, coords[self.e_idx]
 
-    def _eta(self, m):
-        """The image of m in C(V_U) resp. C(V_{U,F})."""
-        to_u = matrix_to_CU if self.kind == "vector" else matrix_to_CUF
-        return to_u(m, self.uspace)
-
     def orthogonal_apply(self, m, w):
-        """eta w eta* / det inside C(V_U) resp. C(V_{U,F})."""
+        """eta w eta^T / det as Phi(m W tau(m)) rho, W = Phi^-1(w rho^-1),
+        with rho = 1 for V_U (see the module docstring)."""
         inv = pseudo_det(m, self.kind).inverse()
-        eta = self._eta(m)
-        img = eta * CliffordElement.from_vector(w) * eta.transpose()
+        uspace, space = self.uspace, self.space
+        if w.space != uspace:
+            raise SpaceMismatch("vector of another space")
+        if m.space != space:
+            m = CMatrix2(*(x.embed(space) for x in m.entries()))
+        if self.kind == "vector":
+            rho, to_m, to_u = 1, CU_to_matrix, matrix_to_CU
+        else:  # w rho^-1 = -w rho: the sign goes to inv
+            rho = CliffordElement.monomial(uspace, (uspace.labels["rho"],))
+            to_m, to_u, inv = CUF_to_matrix, matrix_to_CUF, -inv
+        x = to_m(CliffordElement.from_vector(w) * rho, space)
+        img = to_u(m * x * matrix_involution(m, "transpose"), uspace) * rho
         return (img * inv).vector_coords()
 
     def equivariance_check(self, m, p):

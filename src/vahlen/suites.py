@@ -472,7 +472,7 @@ def sample_point(hs, rng, boundaries):
         part = rng.choice(boundaries)
         while True:
             b = _random_height(hs, rng)
-            if not (hs.c.is_zero() and hs.part_in_radical(part)
+            if not (hs.c.is_zero() and hs.part_space.in_radical(part)
                     and b.is_zero()):
                 return hs.boundary_point(part, b)
     part = [_random_height(hs, rng) for _ in range(hs.part_len)]

@@ -12,6 +12,13 @@ and ``[2]``, ``orbit --json`` on the 60 criterion-7 configurations and the
 and the 64 ``act-cold`` argument lists of seed 7.  ``bench/`` is only read.
 A passing ``verify`` report holds only property names and verdicts, so the
 12 ``verify`` runs compare verdicts, not samples.
+
+tests/test_cli_corpus_golden.py compares every line against the golden
+lines in cli_corpus.txt.  A change that alters CLI output on purpose
+regenerates them with
+
+    PYTHONPATH=src python tests/cli_corpus.py > tests/cli_corpus.txt
+
 The file name lacks ``test_``, so pytest does not collect it.
 """
 
@@ -83,7 +90,12 @@ def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def line(argv):
+    """The corpus line of one run: exit code, the two digests, argv."""
+    code, out, err = run(argv)
+    return f"{code} {_sha(out)} {_sha(err)} {json.dumps(argv)}"
+
+
 if __name__ == "__main__":
     for argv in corpus():
-        code, out, err = run(argv)
-        print(code, _sha(out), _sha(err), json.dumps(argv), flush=True)
+        print(line(argv), flush=True)

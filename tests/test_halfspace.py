@@ -11,18 +11,24 @@ import pytest
 from vahlen import halfspace, matrices
 from vahlen.clifford import CliffordElement
 from vahlen.fields import PrimeField, Q, Scalar, residue_tuples
-from vahlen.groups import (CMatrix2, CUF_to_matrix, matrix_to_CUF,
-                           probe_elements)
+from vahlen.groups import (CMatrix2, CUF_to_matrix, matrix_to_CU,
+                           matrix_to_CUF, probe_elements)
 from vahlen.halfspace import (HalfSpace, InvariantViolation,
                               point_from_json, point_to_json)
 from vahlen.matrices import (NotVahlen, TooLarge, dilation, is_vahlen,
                              pseudo_det, random_vahlen, translation,
                              verify_equivalence_exhaustive, weyl)
-from vahlen.quadratic import QuadraticSpace
+from vahlen.quadratic import QuadraticSpace, SpaceMismatch
 from vahlen.suites import boundary_parts
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+
+def _mobius_denominator(h, p, m):
+    """den of the action tuple: N(cz + d), or its starred coefficient at
+    the boundary."""
+    return Scalar(h.field, h._action_data(m, p)[2])
 
 
 @pytest.fixture
@@ -140,11 +146,11 @@ def test_denominators(hs):
     V = hs.space
     t = translation(V, "vector", V.vector([1, 2]))
     for p in (hs.base_point(), hs.regular_point([2, 2], 3)):
-        assert hs.mobius_denominator(p, t) == Q.one
-    assert hs.mobius_denominator(hs.base_point(), weyl(V)) == hs.c
+        assert _mobius_denominator(hs, p, t) == Q.one
+    assert _mobius_denominator(hs, hs.base_point(), weyl(V)) == hs.c
     # gamma = 0 at a boundary point: starred denominator vanishes
     bp = hs.boundary_point([1, 0], 3)
-    assert hs.mobius_denominator(bp, t) == Q.zero
+    assert _mobius_denominator(hs, bp, t) == Q.zero
     with pytest.raises(NotVahlen):
         hs.mobius_apply(CMatrix2.from_entries(V, 1, 1, 0, 1), bp)
 
@@ -165,7 +171,8 @@ def test_orthogonal_image_of_e_and_f(hs, hp):
 
         for _ in range(12):
             m = random_vahlen(model.space, kind, rng, rng.randint(1, 6))
-            eta = model._eta(m)
+            eta = (matrix_to_CU if kind == "vector" else matrix_to_CUF)(
+                m, model.uspace)
             lhs_e = eta * e * eta.transpose()
             rhs_e = (lift_part(m.a * m.c.conj())
                      + e * m.a.norm().to_scalar()
@@ -475,7 +482,7 @@ def test_direct_lift_matches_embedded_sum():
     checked = 0
     for h in _halfspaces(F3, 2):
         for p in h.enumerate_points():
-            if p.regular:
+            if not p.boundary:
                 lifted = h.lift(p)
                 assert lifted == _lift_reference(h, p)
                 assert lifted.space is h.sigma_space
@@ -962,7 +969,7 @@ def _check_action(h, m, p):
     returns the Moebius case, point kind then image kind."""
     image = h.mobius_apply(m, p)
     assert image == _mobius_reference(h, m, p)
-    assert h.mobius_denominator(p, m) == _denominator_reference(h, m, p)
+    assert _mobius_denominator(h, p, m) == _denominator_reference(h, m, p)
     assert h.value_identity_check(m, p)
     assert _value_identity_reference(h, m, p)
     return "rb"[p.boundary] + "rb"[image.boundary]
@@ -1001,7 +1008,7 @@ def test_action_path_matches_references_over_q():
             p = h.regular_point(part, rng.choice(values))
         else:
             part = rng.choice(bparts)
-            radical = h.c.is_zero() and h.part_in_radical(part)
+            radical = h.c.is_zero() and h.part_space.in_radical(part)
             p = h.boundary_point(part, rng.choice(values if radical
                                                   else (0,) + values))
         _check_action(h, m, p)
@@ -1021,7 +1028,7 @@ def test_sigma_check_refuses_a_wrong_det(kind, monkeypatch):
                         lambda m, kind: pseudo_det(m, kind) * 2)
     p = h.regular_point([1] * h.part_len, 3)
     for call in (h.mobius_apply, h.value_identity_check,
-                 lambda m, p: h.mobius_denominator(p, m)):
+                 lambda m, p: _mobius_denominator(h, p, m)):
         with pytest.raises(InvariantViolation, match="t det"):
             call(m, p)
 
@@ -1168,3 +1175,112 @@ def test_points_of_two_fields_with_equal_residues_are_unequal():
         assert p3 != p5 and not p3 == p5 and p5 != p3
         pairs += [p3, p5]
     assert len(set(pairs)) == 4
+
+
+def test_orbit_sizes_ascend_and_representatives_follow_the_sort_key(
+        monkeypatch):
+    """With the Weyl matrix as the only generator, GF(3) [] paravector at
+    c = 1 falls into four orbits of sizes 1 and 2: the report lists the
+    sizes ascending and the representatives in _point_sort_key order."""
+    monkeypatch.setattr(HalfSpace, "census_generators",
+                        lambda self, group: [weyl(self.space)])
+    h = HalfSpace(QuadraticSpace(F3, []), 1, "paravector")
+    report = h.orbit_census("special")
+    assert report["orbit_count"] == 4
+    assert report["orbit_sizes"] == [1, 1, 2, 2]
+    reps = [point_from_json(h, p) for p in report["orbit_representatives"]]
+    assert reps == sorted(reps, key=halfspace._point_sort_key)
+    assert len(set(reps)) == 4
+
+
+# -- the K-model action in M2(C(V)) -------------------------------------------
+#
+# The reference below is orthogonal_apply as it was written before the
+# action ran in M2(C(V)): the sandwich eta w eta^T multiplied in C(V_U)
+# resp. C(V_{U,F}).
+
+
+def _orthogonal_reference(h, m, w):
+    inv = pseudo_det(m, h.kind).inverse()
+    to_u = matrix_to_CU if h.kind == "vector" else matrix_to_CUF
+    eta = to_u(m, h.uspace)
+    img = eta * CliffordElement.from_vector(w) * eta.transpose()
+    return (img * inv).vector_coords()
+
+
+def _check_orthogonal(h, m, vectors):
+    for w in vectors:
+        assert h.orthogonal_apply(m, w) == _orthogonal_reference(h, m, w)
+
+
+def test_orthogonal_action_matches_reference_over_gf3():
+    """Every full-group reference census generator of every GF(3)
+    half-space of dim <= 1 (every qdiag, every c and both kinds), on every
+    basis vector of V_U resp. V_{U,F} and every K-vector."""
+    checked = Counter()
+    for h in _halfspaces(F3, 1):
+        vectors = [*h.uspace.basis(), *h.k_set()]
+        for g in _census_generators_reference(h, "full"):
+            _check_orthogonal(h, g, vectors)
+            checked[h.kind] += len(vectors)
+    assert checked == {"vector": 758, "paravector": 2621}
+
+
+@pytest.mark.parametrize("qdiag", [[1, -1, 2, 0], [1, -1, 2, 0, 3]])
+def test_orthogonal_action_matches_reference_on_bench_spaces(qdiag):
+    """40 seeded Vahlen matrices per kind on the dim-4 and dim-5 spaces
+    over Q, each on two seeded vectors of V_U resp. V_{U,F}."""
+    V = QuadraticSpace(Q, qdiag, {(0, 1): 1, (2, 3): Q.parse("1/2")})
+    rng = random.Random(28)
+    values = (0, 1, -1, 2, Q.parse("3/4"), Q.parse("-1/3"))
+    for kind in ("vector", "paravector"):
+        h = HalfSpace(V, 1, kind)
+        for _ in range(40):
+            m = random_vahlen(V, kind, rng, rng.randint(1, 4))
+            vectors = [h.uspace.vector([rng.choice(values)
+                                        for _ in range(h.uspace.dim)])
+                       for _ in range(2)]
+            _check_orthogonal(h, m, vectors)
+
+
+@pytest.mark.parametrize("kind", ["vector", "paravector"])
+def test_orthogonal_action_of_a_matrix_over_a_subspace(kind):
+    """A matrix over V acts on the K-model of an extension of V: its
+    entries are embedded first."""
+    V = QuadraticSpace(Q, [1, -1])
+    h = HalfSpace(QuadraticSpace(Q, [1, -1, 2]), 1, kind)
+    rng = random.Random(29)
+    for _ in range(10):
+        m = random_vahlen(V, kind, rng, rng.randint(1, 4))
+        _check_orthogonal(h, m, [*h.uspace.basis(),
+                                 h.to_K(h.regular_point([1] * h.part_len,
+                                                        2))])
+
+
+@pytest.mark.parametrize("kind", ["vector", "paravector"])
+def test_orthogonal_action_refuses_a_vector_of_another_space(kind):
+    V = QuadraticSpace(Q, [1, -1])
+    h = HalfSpace(V, 1, kind)
+    m = translation(V, kind, CliffordElement.monomial(V, (0,))) * weyl(V)
+    other = HalfSpace(QuadraticSpace(Q, [1, 1]), 1, kind).uspace
+    with pytest.raises(SpaceMismatch):
+        h.orthogonal_apply(m, other.basis_vector(0))
+
+
+def _constants(space):
+    return sum(len(row) for row in space._mono_cache.values())
+
+
+@pytest.mark.parametrize("kind", ["vector", "paravector"])
+def test_orthogonal_action_fills_few_constants_of_vu(kind):
+    """On a fresh dim-5 space, one orthogonal_apply fills fewer than 100
+    structure constants of V_U resp. V_{U,F}: its products run in C(V).
+    The sandwich in C(V_U) resp. C(V_{U,F}) fills hundreds."""
+    V = QuadraticSpace(Q, [1, -1, 2, 0, 3],
+                       {(0, 1): 1, (2, 3): Q.parse("1/2")})
+    h = HalfSpace(V, 1, kind)
+    m = random_vahlen(V, kind, random.Random(30), 6)
+    w = h.to_K(h.regular_point([1] * h.part_len, 2))
+    before = _constants(h.uspace)
+    h.orthogonal_apply(m, w)
+    assert _constants(h.uspace) - before < 100
