@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .clifford import SolveTooLarge
 from .fields import InfiniteField, parse_field
@@ -180,6 +181,7 @@ def _add_common(parser):
     parser.add_argument("--json", action="store_true")
 
 
+@cache  # built once, on first use; parse_args leaves it unchanged
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="vahlen",

@@ -32,7 +32,7 @@ pseudo-determinant is matrices.pseudo_det's, which checks membership and
 keeps the scalar on the matrix.  A CMatrix2 is never changed once built
 and every constant is an exact function of its entries (and the target
 algebra), so a kept constant equals the one recomputed at every point.
-The formula itself still runs once per (point, matrix).
+The orbit census runs the formula only as a check (orbit_census).
 
 The K-model action w -> eta w eta^T / det runs on C(V)'s products.  Phi =
 matrix_to_CU is multiplicative and Phi(tau(m)) = Phi(m)^T, for tau =
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .clifford import CliffordElement, mask_indices, monomial_mask
 from .fields import InfiniteField, PrimeField, Scalar, residue_tuples
@@ -68,8 +69,8 @@ from .quadratic import QuadraticSpace, SpaceMismatch
 
 
 # the _census_work an orbit census may reach: the GF(11) dim-2 paravector
-# census at c = 1 (_census_work 1.23e6) takes 8 s and the GF(7) dim-3
-# one (0.91e6) 8 s (2-vCPU Xeon VM, Python 3.11)
+# census at c = 1 (_census_work 1.23e6) takes 1.4-2 s and the GF(7)
+# dim-3 one (0.91e6) 1.6-2 s (2-vCPU Xeon VM, Python 3.11)
 MAX_CENSUS_WORK = 2 * 10**6
 
 
@@ -305,26 +306,24 @@ class HalfSpace:
 
     # -- the K-model ---------------------------------------------------------------
 
-    def _part_coords_in_u(self, part):
-        """Coordinates of the part inside V_U (vector) or of iota(part)
-        inside V_{U,F} (paravector)."""
-        coords = [self.field.zero] * self.uspace.dim
+    def _k_values(self, p):
+        """to_K(p) in raw values: the part at _u_idx and e = b, or, at a
+        regular point, f = 1 and e = c t^2 - q(part), all times 1/t."""
+        part, h, mod = p.raw_part, p.raw_height, self.field.modulus
+        w = [0] * self.uspace.dim
         for (j, negate), x in zip(self._u_idx, part):
-            coords[j] = -x if negate else x
-        return coords
+            w[j] = -x if negate else x
+        if p.boundary:
+            w[self.e_idx], inv = h, 1
+        else:
+            w[self.f_idx] = 1
+            w[self.e_idx] = self.c.value * h * h - self.part_space.raw.q(part)
+            inv = self.field._div(1, h)
+        return tuple(x * inv % mod if mod else x * inv for x in w)
 
     def to_K(self, p):
         """The bijection onto vectors of q-value c outside the radical."""
-        if p.boundary:
-            coords = self._part_coords_in_u(p.part)
-            coords[self.e_idx] = p.height
-            return self.uspace.vector(coords)
-        tinv = p.height.inverse()
-        coords = self._part_coords_in_u(p.part)
-        coords[self.f_idx] = self.field.one
-        coords[self.e_idx] = (self.c * p.height * p.height
-                              - self.part_q(p.part))
-        return self.uspace.vector([x * tinv for x in coords])
+        return self.uspace.vector(self._k_values(p))
 
     def k_contains(self, w):
         return (w.space == self.uspace and w.q() == self.c
@@ -452,58 +451,76 @@ class HalfSpace:
                 raise AssertionError("census generator failed Vahlen check")
         return gens
 
-    def _orbit(self, start, gens):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for p in frontier:
-                for g in gens:
-                    q = self.mobius_apply(g, p)
-                    if q not in seen:
-                        seen.add(q)
-                        new.append(q)
-            frontier = new
-        return seen
-
     def _census_work(self):
-        """A bound on the Moebius applications of one census sweep: points
-        <= p^n (2p - 1), for n = part_len, times n + 1 + 4(p - 1).  The
-        census applies at most n + 1 + 2(p - 1) generators (translations,
-        Weyl, diag(1/d, d), dilations).  The other 2(p - 1), once allowed
-        for norm diagonals and transitivity witnesses, are slack, kept so
-        that MAX_CENSUS_WORK admits the same configurations until the guard
-        is measured again.  The K-set scan of p^(n + 2) vectors is below
-        it."""
+        """A bound on the permutation lookups of one census sweep, and so on
+        its Moebius applications: points <= p^n (2p - 1), for n =
+        part_len, times n + 1 + 4(p - 1).  The census applies at most n + 1
+        + 2(p - 1) generators (translations, Weyl, diag(1/d, d),
+        dilations).  The other 2(p - 1), once allowed for norm diagonals
+        and transitivity witnesses, are slack, kept so that MAX_CENSUS_WORK
+        admits the same configurations until the guard is measured again.
+        The K-set scan of p^(n + 2) vectors is below it."""
         p, n = self._modulus(), self.part_len
         return p ** n * (2 * p - 1) * (n + 1 + 4 * (p - 1))
 
+    def _orbits(self, points, gens):
+        """The orbits of gens on points, each a list, in the order of their
+        least points (the base point sorts first)."""
+        points = sorted(points, key=_point_sort_key)
+        index = {self._k_values(p): i for i, p in enumerate(points)}
+        if len(index) != len(points):
+            raise InvariantViolation("two points share a K-vector")
+        perms, mod = [], self.field.modulus
+        for g in gens:
+            rows = list(zip(*([x.value for x in self.orthogonal_apply(
+                g, e).coords] for e in self.uspace.basis())))
+            try:
+                perms.append([index[tuple(sum(map(mul, r, w)) % mod
+                                          for r in rows)] for w in index])
+            except KeyError:
+                raise InvariantViolation("a K-image is off the K-set") from None
+        seen, orbits, edges = [False] * len(points), [], []
+        for start in range(len(points)):
+            if seen[start]:
+                continue
+            seen[start], orbit = True, [start]
+            for i in orbit:  # grows as the BFS finds points
+                for g, perm in zip(gens, perms):
+                    if not seen[perm[i]]:
+                        seen[perm[i]] = True
+                        orbit.append(perm[i])
+                        edges.append((g, i, perm[i]))
+            orbits.append([points[i] for i in orbit])
+        if len(orbits) > 1:
+            edges = [(g, i, j) for g, perm in zip(gens, perms)
+                     for i, j in enumerate(perm)]
+        for g, i, j in edges:
+            if self.mobius_apply(g, points[i]) != points[j]:
+                raise InvariantViolation("Moebius image != K-model image")
+        return orbits
+
     def orbit_census(self, group="special"):
         """Materialize the whole space, close orbits under the generators,
-        and compare against the predicted transitivity/coset structure."""
+        and compare against the predicted transitivity/coset structure.
+        Each generator is compiled once, into the matrix of
+        orthogonal_apply, to a permutation of the points' K-vectors, and a
+        BFS closes the orbits.  mobius_apply checks each edge that first
+        reached a point, or every (generator, point) pair if there are two
+        or more orbits, so the orbits are the Moebius orbits."""
         if group not in ("special", "full"):
             raise ValueError("group must be 'special' or 'full'")
         work = self._census_work()
         if work > MAX_CENSUS_WORK:
-            raise TooLarge(f"a census of up to {work} Moebius applications "
+            raise TooLarge(f"a census of up to {work} permutation lookups "
                            f"exceeds the guard {MAX_CENSUS_WORK}")
         points = self.enumerate_points()
-        point_set = set(points)
         gens = self.census_generators(group)
-        base = self.base_point()
         # a part of q-value c carries at least p - 1 boundary points
         boundary_count = sum(1 for p in points if p.boundary)
         represented = boundary_count > 0
 
-        base_orbit = self._orbit(base, gens)
-        orbits = [base_orbit]
-        remaining = point_set - base_orbit
-        while remaining:
-            start = min(remaining, key=_point_sort_key)
-            orb = self._orbit(start, gens)
-            orbits.append(orb)
-            remaining -= orb
-
+        orbits = self._orbits(points, gens)
+        base_orbit = orbits[0]
         k_count = len(self.k_set())
         reps = sorted((min(o, key=_point_sort_key) for o in orbits),
                       key=_point_sort_key)

@@ -2,6 +2,7 @@
 formula, equivariance, value identities, stabilizers, and orbit censuses."""
 
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from vahlen import halfspace, matrices
+from vahlen.cli import main
 from vahlen.clifford import CliffordElement
 from vahlen.fields import PrimeField, Q, Scalar, residue_tuples
 from vahlen.groups import (CMatrix2, CUF_to_matrix, matrix_to_CU,
@@ -166,7 +168,8 @@ def test_orthogonal_image_of_e_and_f(hs, hp):
         f = CE.monomial(model.uspace, (model.f_idx,))
 
         def lift_part(x):
-            coords = model._part_coords_in_u(model._element_to_part(x))
+            coords = _part_coords_in_u_by_kind(
+                model, model._element_to_part(x))
             return CE.from_vector(model.uspace.vector(coords))
 
         for _ in range(12):
@@ -448,15 +451,16 @@ def _halfspaces(field, max_dim):
                 yield HalfSpace(space, c, kind)
 
 
-# the orbit configurations of the census benchmark, with the (point,
-# generator) pairs each special-group census applies
+# the orbit configurations of the census benchmark, with the Moebius
+# applications each special-group census checks: points - 1 for the first
+# six, which are transitive, and points x generators for the last
 CENSUS_CONFIGS = [
-    (5, [1, 1], {}, "paravector", 1, 5200),
-    (7, [1, 1], {}, "vector", 1, 3150),
-    (7, [1], {}, "paravector", 2, 3024),
-    (5, [1, 0], {(0, 1): 1}, "vector", 1, 840),
-    (3, [1, 0], {(0, 1): 1}, "paravector", 1, 432),
-    (3, [1, 0, 1], {}, "paravector", -1, 1512),
+    (5, [1, 1], {}, "paravector", 1, 649),
+    (7, [1, 1], {}, "vector", 1, 349),
+    (7, [1], {}, "paravector", 2, 335),
+    (5, [1, 0], {(0, 1): 1}, "vector", 1, 119),
+    (3, [1, 0], {(0, 1): 1}, "paravector", 1, 71),
+    (3, [1, 0, 1], {}, "paravector", -1, 215),
     (5, [1], {}, "vector", 0, 144),
 ]
 
@@ -562,9 +566,10 @@ def test_warm_memo_matches_fresh_matrix_and_reference():
     assert len(kinds) == 4  # all four Moebius cases ran
 
 
-def test_census_applies_each_generator_once_per_point(monkeypatch):
-    """The census on the benchmark configurations does points x generators
-    Moebius applications, no more and no fewer."""
+def test_census_checks_each_discovery_edge_or_every_pair(monkeypatch):
+    """The census on the benchmark configurations applies the Moebius
+    formula once per point it discovers, points - 1 times, when it finds
+    one orbit, and once per (point, generator) pair otherwise."""
     applied = Counter()  # keyed by the half-space itself, which it keeps
     real_apply = HalfSpace.mobius_apply
 
@@ -574,14 +579,102 @@ def test_census_applies_each_generator_once_per_point(monkeypatch):
 
     monkeypatch.setattr(HalfSpace, "mobius_apply", counting_apply)
     total = 0
-    for p, qdiag, pairs, kind, c, pairs_applied in CENSUS_CONFIGS:
+    for p, qdiag, pairs, kind, c, checks in CENSUS_CONFIGS:
         h = _census_halfspace(p, qdiag, pairs, kind, c)
         report = h.orbit_census("special")
         gens = h.census_generators("special")
-        assert applied[h] == report["point_count"] * len(gens)
-        assert applied[h] == pairs_applied
+        points = report["point_count"]
+        assert applied[h] == (points - 1 if report["transitive"]
+                              else points * len(gens))
+        assert applied[h] == checks
         total += applied[h]
-    assert total == 14302
+    assert total == 1882
+
+
+def _orbit_reference(h, start, gens):
+    """The orbit of start by BFS under the Moebius formula itself, as the
+    census closed orbits before it compiled its generators."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for p in frontier:
+            for g in gens:
+                q = h.mobius_apply(g, p)
+                if q not in seen:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    return seen
+
+
+def test_census_partition_matches_moebius_bfs():
+    """Every GF(3) and GF(5) form of dim <= 1, every c, both kinds and both
+    groups: the orbits closed by the K-model permutations are the orbits
+    closed by the Moebius formula, with the base point's first."""
+    censuses = orbit_counts = 0
+    for field in (F3, F5):
+        for h in _halfspaces(field, 1):
+            points = h.enumerate_points()
+            for group in ("special", "full"):
+                gens = h.census_generators(group)
+                orbits = h._orbits(points, gens)
+                remaining = set(points)
+                expected = set()
+                start = h.base_point()
+                while remaining:
+                    orbit = frozenset(_orbit_reference(h, start, gens))
+                    expected.add(orbit)
+                    remaining -= orbit
+                    start = min(remaining, key=halfspace._point_sort_key,
+                                default=None)
+                assert h.base_point() in orbits[0]
+                assert sum(map(len, orbits)) == len(points)
+                assert {frozenset(o) for o in orbits} == expected
+                censuses += 1
+                orbit_counts += len(orbits)
+    assert censuses == 168 and orbit_counts > censuses
+
+
+@pytest.mark.parametrize("p,qdiag,c,orbits", [(3, [1], 1, 1), (5, [], 1, 2)])
+def test_census_check_catches_a_wrong_moebius_image(p, qdiag, c, orbits,
+                                                    monkeypatch, capsys):
+    """A Moebius formula that disagrees with the K-model on the Weyl matrix
+    fails the census and exits 1, on a transitive census (the check runs
+    on discovery edges) and on one with two orbits (every pair)."""
+    h = _census_halfspace(p, qdiag, {}, "vector", c)
+    assert h.orbit_census("special")["orbit_count"] == orbits
+    space = json.dumps({"field": f"F{p}", "qdiag": [str(x) for x in qdiag]})
+    argv = ["orbit", "--space", space, "--c", str(c)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    real_apply = HalfSpace.mobius_apply
+
+    def broken_apply(self, m, p):  # the Weyl matrix fixes every point
+        return p if m == weyl(self.space) else real_apply(self, m, p)
+
+    monkeypatch.setattr(HalfSpace, "mobius_apply", broken_apply)
+    with pytest.raises(InvariantViolation):
+        h.orbit_census("special")
+    assert main(argv) == 1
+    assert "Moebius image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["k_values", "orthogonal_apply"])
+def test_census_refuses_a_broken_k_index(broken, monkeypatch):
+    """Two points on one K-vector, or a compiled image outside the
+    points' K-vectors, fail the census instead of skewing its orbits."""
+    h = _census_halfspace(3, [1], {}, "vector", 1)
+    if broken == "k_values":
+        monkeypatch.setattr(HalfSpace, "_k_values",
+                            lambda self, p: p.raw_part)
+        message = "share a K-vector"
+    else:
+        monkeypatch.setattr(HalfSpace, "orthogonal_apply",
+                            lambda self, m, w: w * 0)
+        message = "off the K-set"
+    with pytest.raises(InvariantViolation, match=message):
+        h.orbit_census("special")
 
 
 # -- census generators without redundancy --------------------------------------
@@ -822,8 +915,7 @@ def _check_layout(h, p):
     x = h.part_element(part)
     assert x == _part_element_by_kind(h, part)
     assert h._element_to_part(x) == _element_to_part_by_kind(h, x) == part
-    u = h._part_coords_in_u(part)
-    assert u == _part_coords_in_u_by_kind(h, part)
+    u = _part_coords_in_u_by_kind(h, part)
     for coords in (u, list(h.to_K(p).coords)):
         assert h._u_coords_to_part(coords, False) == \
             _u_coords_to_part_by_kind(h, coords)
@@ -856,15 +948,15 @@ def test_part_layout_matches_maps_by_kind_over_gf3():
     assert len(checked) == 4 and sum(checked.values()) == 8994
 
 
-def test_part_layout_matches_maps_by_kind_over_q():
-    """200 seeded points, regular and boundary, of the degenerate,
-    non-orthogonal dim-4 space over Q, for c in {1, 0, -1} and both kinds.
-    A boundary part solves q = c for coordinate 3, in which q is linear."""
+def _seeded_q_points(seed, count):
+    """(half-space, point) pairs, regular and boundary, of the degenerate,
+    non-orthogonal dim-4 space of verify-q, for c in {1, 0, -1} and both
+    kinds.  A boundary part solves q = c for coordinate 3, in which q is
+    linear."""
     V = QuadraticSpace(Q, [1, -1, 2, 0], {(0, 1): 1, (2, 3): Q.parse("1/2")})
-    rng = random.Random(9)
+    rng = random.Random(seed)
     values = (0, 1, -1, 2, Q.parse("3/4"), Q.parse("-1/3"))
-    checked = Counter()
-    for i in range(200):
+    for i in range(count):
         h = HalfSpace(V, (1, 0, -1)[i % 3], ("vector", "paravector")[i % 2])
         part = [Q.element(rng.choice(values)) for _ in range(h.part_len)]
         if i % 4 < 2:
@@ -878,9 +970,44 @@ def test_part_layout_matches_maps_by_kind_over_q():
             b = rng.choice(values[1:]) if h.c.is_zero() else \
                 rng.choice(values)
             p = h.boundary_point(part, b)
+        yield h, p
+
+
+def test_part_layout_matches_maps_by_kind_over_q():
+    """200 seeded points of the verify-q space (_seeded_q_points)."""
+    checked = Counter()
+    for h, p in _seeded_q_points(9, 200):
         _check_layout(h, p)
         checked[h.kind, p.boundary] += 1
     assert len(checked) == 4 and sum(checked.values()) == 200
+
+
+def _to_K_reference(h, p):
+    """to_K on Scalars, as it was written before it read raw values."""
+    coords = _part_coords_in_u_by_kind(h, p.part)
+    if p.boundary:
+        coords[h.e_idx] = p.height
+        return h.uspace.vector(coords)
+    tinv = p.height.inverse()
+    coords[h.f_idx] = h.field.one
+    coords[h.e_idx] = h.c * p.height * p.height - h.part_q(p.part)
+    return h.uspace.vector([x * tinv for x in coords])
+
+
+def test_raw_to_K_matches_scalar_reference():
+    """Every point of every GF(3) half-space of dim <= 2, and 200 seeded
+    points of the verify-q space over Q; the census's raw K-vector is the
+    same map."""
+    checked = Counter()
+    for h, p in itertools.chain(
+            ((h, p) for h in _halfspaces(F3, 2) for p in h.enumerate_points()),
+            _seeded_q_points(29, 200)):
+        w = _to_K_reference(h, p)
+        assert h.to_K(p) == w
+        assert h._k_values(p) == tuple(x.value for x in w.coords)
+        checked[h.field.modulus, p.boundary] += 1
+    assert checked[None, False] and checked[None, True]
+    assert checked[3, False] + checked[3, True] == 8994
 
 
 @pytest.mark.parametrize("kind", ["vector", "paravector"])
