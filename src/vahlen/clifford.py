@@ -603,12 +603,17 @@ def _labeled_generator(space, name):
 
 
 def rho_map(x, target):
-    """x = x_+ + x_-  ->  x_+ + x_- rho, an isomorphism onto C(V_F)_+."""
-    if "rho" not in target.labels:
+    """x = x_+ + x_-  ->  x_+ + x_- rho, an isomorphism onto C(V_F)_+; x
+    has no term at or above rho's bit, so x_- rho sets it on odd terms."""
+    r = target.labels.get("rho")
+    if r is None:
         raise ValueError("target has no rho generator")
-    emb = x.embed(target)
-    rho = _labeled_generator(target, "rho")
-    return emb.part("even") + emb.part("odd") * rho
+    x = x.embed(target)
+    if any(s >> r for s in x.terms):
+        raise ValueError("element has a term at or above rho")
+    return CliffordElement._of(target, {
+        s | 1 << r if s.bit_count() % 2 else s: n
+        for s, n in x.terms.items()}, x.den)
 
 
 def upsilon_element(target):
@@ -621,9 +626,6 @@ def upsilon_element(target):
 
 def upsilon_map(x, target):
     """x = x_+ + x_-  ->  x_+ + x_- upsilon inside C(V_{U,F})."""
-    for name in ("e", "f", "rho"):
-        if name not in target.labels:
-            raise ValueError(f"target has no generator labeled {name!r}")
     emb = x.embed(target)
     return emb.part("even") + emb.part("odd") * upsilon_element(target)
 

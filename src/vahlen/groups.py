@@ -2,6 +2,8 @@
 matrix-algebra isomorphisms M2(C(V,q)) = C(V_U) and M2(C(V,q)) = C(V_{U,F})+.
 The second is the first, built inside C(V_{U,F}), followed by rho_map,
 which carries that copy of C(V_U) onto C(V_U + F rho)+ = C(V_{U,F})+.
+e, f and rho follow V's generators, at bits n, n + 1 and n + 2, so each
+map sets the bits its inverse peels or strips, and takes no product.
 
 Groups are infinite over Q, so membership is by predicate; nothing is ever
 materialized.
@@ -9,8 +11,10 @@ materialized.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .clifford import CliffordElement, NotInvertible, monomial_mask, rho_map
-from .quadratic import SpaceMismatch
+from .quadratic import NotASuperspace, SpaceMismatch
 
 GROUP_TAGS = frozenset({
     "twisted_center", "gamma", "gamma_pm", "gamma_plus", "gamma_minus",
@@ -194,32 +198,37 @@ def pi_tilde(x):
 # -- M2(C) = C(V_U) ------------------------------------------------------------
 
 
-def _hyperbolic_blocks(vu):
-    blocks = vu._ext_cache.get("cu_blocks")
-    if blocks is None:
-        e = CliffordElement.monomial(vu, (vu.labels["e"],))
-        f = CliffordElement.monomial(vu, (vu.labels["f"],))
-        blocks = (e, f, e * f, f * e)
-        vu._ext_cache["cu_blocks"] = blocks
-    return blocks
+def _check_layout(space, base, n, rho):
+    """space extends base with e, f and, if rho is set, rho at bits n,
+    n + 1 and n + 2, n >= base.dim."""
+    labels = space.labels
+    if (n < base.dim or (labels.get("e"), labels.get("f")) != (n, n + 1)
+            or rho and labels.get("rho") != n + 2
+            or not space.is_extension_of(base)):
+        raise NotASuperspace("not a hyperbolic extension of the base space")
 
 
 def matrix_to_CU(m, vu=None):
-    """(a b; c d) -> a ef + b e + c' f + d' fe inside C(V_U)."""
+    """(a b; c d) -> a ef + b e + c' f + d' fe = d' + b e + c' f + (a - d') ef
+    in C(V_U), as fe = 1 - ef; m may lie over a leading subspace of V."""
     if vu is None:
         vu = m.space.extend_hyperbolic()
-    e, f, ef, fe = _hyperbolic_blocks(vu)
-    a, b, c, d = (x.embed(vu) for x in m.entries())
-    return (a * ef + b * e + c.grade_involution() * f
-            + d.grade_involution() * fe)
+    n = vu.labels.get("e", -1)
+    _check_layout(vu, m.space, n, False)
+    a, b, c, d = m.entries()
+    d = d.grade_involution()
+    parts = (d, b, c.grade_involution(), a - d)  # of 1, e, f and ef
+    den = lcm(*(x.den for x in parts))
+    return CliffordElement._of(vu, {
+        s | k << n: v * (den // x.den)
+        for k, x in enumerate(parts) for s, v in x.terms.items()}, den)
 
 
 def CU_to_matrix(psi, base):
-    """Peel the four C(V, q) components out of an element of C(V_U), or of
-    C(V_{U,F}) with no rho term: a monomial's bits above V's, e = bit n and
-    f = bit n + 1, pick its component, and its bits in V are its monomial
-    there."""
+    """Peel the four components matrix_to_CU places out of an element of
+    C(V_U), or of C(V_{U,F}) with no rho term."""
     n = base.dim
+    _check_layout(psi.space, base, n, False)
     low = (1 << n) - 1
     raw = ({}, {}, {}, {})  # the components of 1, e, f and ef
     for s, c in psi.terms.items():
@@ -236,16 +245,17 @@ def CU_to_matrix(psi, base):
 
 
 def matrix_to_CUF(m, vuf=None):
-    """rho_map of the C(V_U) image, built inside C(V_{U,F}), where e and f
-    keep their indices n and n + 1: rho_map carries it onto C(V_{U,F})+."""
+    """rho_map of the C(V_U) image, built inside C(V_{U,F})."""
     if vuf is None:
         vuf = m.space.extend_hyperbolic_rho()
+    _check_layout(vuf, m.space, vuf.labels.get("e", -1), True)
     return rho_map(matrix_to_CU(m, vuf), vuf)
 
 
 def CUF_to_matrix(psi, base):
-    """Undo rho_map, then peel with CU_to_matrix: rho is the last generator
-    of V_{U,F}, so x_- rho has the monomials of x_- with rho appended."""
+    """Strip the rho bit rho_map sets on odd terms, then peel with
+    CU_to_matrix."""
+    _check_layout(psi.space, base, base.dim, True)
     if not psi.is_even():
         raise ValueError("element is not in the even subalgebra")
     keep = ~(1 << (base.dim + 2))

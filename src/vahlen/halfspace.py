@@ -325,29 +325,20 @@ class HalfSpace:
         """The bijection onto vectors of q-value c outside the radical."""
         return self.uspace.vector(self._k_values(p))
 
-    def k_contains(self, w):
-        return (w.space == self.uspace and w.q() == self.c
-                and not w.in_radical())
-
     def from_K(self, w):
-        """Inverse bijection, splitting on the pairing with e."""
-        if not self.k_contains(w):
+        """Inverse of to_K on raw values, over _u_idx: f = 0 gives the
+        boundary point (part, e), any other f the regular point (part/f,
+        1/f); _point refuses a radical vector at c = 0."""
+        raw = [x.value for x in w.coords]
+        if w.space != self.uspace or self.uspace.raw.q(raw) != self.c.value:
             raise InvariantViolation("vector is not in the K-set")
-        pair_e = w.coords[self.f_idx]
-        if pair_e.is_zero():
-            part, b = self._u_coords_to_part(w.coords, boundary=True)
-            return self.boundary_point(part, b)
-        t = pair_e.inverse()
-        scaled = [x * t for x in w.coords]
-        part, _ = self._u_coords_to_part(scaled, boundary=False)
-        return self.regular_point(part, t)
-
-    def _u_coords_to_part(self, coords, boundary):
-        if boundary and not coords[self.f_idx].is_zero():
-            raise InvariantViolation("boundary K-vector must be orthogonal to e")
-        part = tuple(-coords[j] if negate else coords[j]
-                     for j, negate in self._u_idx)
-        return part, coords[self.e_idx]
+        part = [-raw[j] if negate else raw[j] for j, negate in self._u_idx]
+        f, mod = raw[self.f_idx], self.field.modulus
+        boundary = f == 0
+        h, inv = ((raw[self.e_idx], 1) if boundary
+                  else (1, self.field._div(1, f)))
+        out = [x * inv % mod if mod else x * inv for x in (*part, h)]
+        return self._point(boundary, tuple(out[:-1]), out[-1])
 
     def orthogonal_apply(self, m, w):
         """eta w eta^T / det as Phi(m W tau(m)) rho, W = Phi^-1(w rho^-1),
@@ -464,8 +455,8 @@ class HalfSpace:
         return p ** n * (2 * p - 1) * (n + 1 + 4 * (p - 1))
 
     def _orbits(self, points, gens):
-        """The orbits of gens on points, each a list, in the order of their
-        least points (the base point sorts first)."""
+        """The orbits of gens on points, each a list led by its least point,
+        in the order of those points (the base point sorts first)."""
         points = sorted(points, key=_point_sort_key)
         index = {self._k_values(p): i for i, p in enumerate(points)}
         if len(index) != len(points):
@@ -522,8 +513,7 @@ class HalfSpace:
         orbits = self._orbits(points, gens)
         base_orbit = orbits[0]
         k_count = len(self.k_set())
-        reps = sorted((min(o, key=_point_sort_key) for o in orbits),
-                      key=_point_sort_key)
+        reps = [o[0] for o in orbits]  # _orbits starts each at its least point
         report = {
             "kind": self.kind,
             "group": group,

@@ -258,19 +258,6 @@ def vector_scalar(space, v):
     return CMatrix2.from_entries(space, v, 0, 0, v)
 
 
-def generator(space, kind, which, arg=None):
-    _check_kind(kind)
-    if which == "translation":
-        return translation(space, kind, arg)
-    if which == "dilation":
-        return dilation(space, arg)
-    if which == "weyl":
-        return weyl(space)
-    if which == "vector_scalar":
-        return vector_scalar(space, arg)
-    raise ValueError(f"unknown generator {which!r}")
-
-
 # -- seeded sampler ------------------------------------------------------------
 
 _SMALL_HEIGHT = (0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))

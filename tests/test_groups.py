@@ -16,7 +16,7 @@ from vahlen.groups import (CMatrix2, CU_to_matrix, CUF_to_matrix,
                            NotInCliffordGroup, in_group, lands,
                            matrix_involution, matrix_to_CU, matrix_to_CUF,
                            pi, pi_tilde, probe_elements)
-from vahlen.quadratic import QuadraticSpace
+from vahlen.quadratic import NotASuperspace, QuadraticSpace
 
 from matrix_helpers import (identity_matrix, is_orthogonal_fixing_radical,
                             r1_matrix, reflection_matrix)
@@ -532,3 +532,117 @@ def test_iso_peelers_refuse_elements_outside_their_images(degen_space):
     stray = CliffordElement.monomial(vuf, (0, vuf.labels["rho"]))
     with pytest.raises(ValueError, match="embedded C\\(V_U\\)"):
         CU_to_matrix(CliffordElement.one(vuf) + stray, V)
+
+
+# -- the bit layouts against the product formulas they replaced ---------------
+
+
+def _matrix_to_CU_by_products(m, vu):
+    """(a b; c d) -> a ef + b e + c' f + d' fe, the entries embedded and
+    multiplied by the blocks in C(V_U)."""
+    e = CliffordElement.monomial(vu, (vu.labels["e"],))
+    f = CliffordElement.monomial(vu, (vu.labels["f"],))
+    a, b, c, d = (x.embed(vu) for x in m.entries())
+    return (a * (e * f) + b * e + c.grade_involution() * f
+            + d.grade_involution() * (f * e))
+
+
+def _rho_map_by_products(x, target):
+    """x_+ + x_- rho, multiplied in C(target)."""
+    emb = x.embed(target)
+    rho = CliffordElement.monomial(target, (target.labels["rho"],))
+    return emb.part("even") + emb.part("odd") * rho
+
+
+def _check_by_products(m, vu, vuf):
+    assert matrix_to_CU(m, vu) == _matrix_to_CU_by_products(m, vu)
+    chi = _rho_map_by_products(_matrix_to_CU_by_products(m, vuf), vuf)
+    assert matrix_to_CUF(m, vuf) == chi
+
+
+def test_bit_layouts_match_product_formulas():
+    """Every matrix over every GF(3) form of dim <= 1, into both targets;
+    seeded matrices over the dim-4 and dim-5 spaces over Q that `verify`
+    and `act` use; and seeded matrices over V into the extensions of a
+    larger space, which matrix_to_CU also takes."""
+    checked = 0
+    for V in _gf3_forms(1):
+        vu, vuf = V.extend_hyperbolic(), V.extend_hyperbolic_rho()
+        for entries in itertools.product(enumerate_elements(V), repeat=4):
+            _check_by_products(CMatrix2(*entries), vu, vuf)
+            checked += 1
+    assert checked == 3 ** 4 + 3 * 9 ** 4
+    rng = random.Random(30)
+    pairs = {(0, 1): 1, (2, 3): Fraction(1, 2)}
+    for qdiag in ([1, -1, 2, 0], [1, -1, 2, 0, 3]):
+        V = QuadraticSpace(Q, qdiag, pairs)
+        vu, vuf = V.extend_hyperbolic(), V.extend_hyperbolic_rho()
+        for _ in range(40):
+            m = CMatrix2(*(rand_element(V, rng, 0.3) for _ in range(4)))
+            _check_by_products(m, vu, vuf)
+    V, W = QuadraticSpace(Q, [1, -1]), QuadraticSpace(Q, [1, -1, 2, 0])
+    for _ in range(20):
+        m = CMatrix2(*(rand_element(V, rng) for _ in range(4)))
+        _check_by_products(m, W.extend_hyperbolic(),
+                           W.extend_hyperbolic_rho())
+
+
+def test_bit_layouts_take_no_clifford_product(degen_space, monkeypatch):
+    V = degen_space
+    vu, vuf = V.extend_hyperbolic(), V.extend_hyperbolic_rho()
+    rng = random.Random(31)
+    ms = [CMatrix2(*(rand_element(V, rng) for _ in range(4)))
+          for _ in range(10)]
+    xs = [rand_element(V, rng) for _ in range(10)]
+    calls = []
+    mul = CliffordElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CliffordElement, "__mul__", counted)
+    for m, x in zip(ms, xs):
+        matrix_to_CU(m, vu)
+        matrix_to_CUF(m, vuf)
+        rho_map(x, vuf)
+    assert calls == []
+
+
+def test_peeler_refuses_an_element_of_another_space():
+    """Over GF(5), (0, e_1; 0, 0) over V2 = [1, 2] maps to e_1 e; its e sits
+    at bit 2, where the peeler for V1 = [1] would read f."""
+    F5 = PrimeField(5)
+    V2, V1 = QuadraticSpace(F5, [1, 2]), QuadraticSpace(F5, [1])
+    e1 = CliffordElement.monomial(V2, (1,))
+    zero = CliffordElement.zero(V2)
+    psi = matrix_to_CU(CMatrix2(zero, e1, zero, zero))
+    with pytest.raises(NotASuperspace):
+        CU_to_matrix(psi, V1)
+
+
+def test_iso_maps_refuse_spaces_off_their_layout(degen_space):
+    V = degen_space
+    vu, vuf = V.extend_hyperbolic(), V.extend_hyperbolic_rho()
+    vfu = V.extend_sigma(1).extend_hyperbolic()  # rho before e and f
+    m = CMatrix2.identity(V)
+    other = QuadraticSpace(Q, [1, 1, 0])
+    # the target must extend the matrix's space
+    with pytest.raises(NotASuperspace):
+        matrix_to_CU(m, other.extend_hyperbolic())
+    # matrix_to_CUF needs rho right after f
+    for target in (vu, vfu):
+        with pytest.raises(NotASuperspace):
+            matrix_to_CUF(m, target)
+    # the peelers need e at bit base.dim, and CUF_to_matrix rho after f
+    with pytest.raises(NotASuperspace):
+        CU_to_matrix(CliffordElement.one(vu), other)
+    with pytest.raises(NotASuperspace):
+        CUF_to_matrix(CliffordElement.one(vuf), QuadraticSpace(Q, [1]))
+    with pytest.raises(NotASuperspace):
+        CUF_to_matrix(CliffordElement.one(vu), V)
+    # rho_map takes no element with a term at or above rho's bit
+    for target, name in ((vuf, "rho"), (vfu, "e")):
+        x = CliffordElement.monomial(target, (target.labels[name],))
+        with pytest.raises(ValueError, match="at or above rho"):
+            rho_map(x, target)

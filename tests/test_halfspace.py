@@ -90,6 +90,18 @@ def test_from_K_rejects_non_K(hs):
         hs.from_K(hs.uspace.vector([0, 0, 0, 0]))
     with pytest.raises(InvariantViolation):
         hs.from_K(hs.uspace.vector([0, 1, 0, 0]))  # q = -1 != c
+    with pytest.raises(InvariantViolation):
+        hs.from_K(hs.uspace.vector([0, 0, 0, 1]))  # f != 0, q = 0 != c
+    # a K-vector of hs read in another space of the same dimension
+    other = QuadraticSpace(Q, [1, 1]).extend_hyperbolic()
+    with pytest.raises(InvariantViolation):
+        hs.from_K(other.vector(hs.to_K(hs.base_point()).coords))
+    # at c = 0, the radical vector e_1 has q-value c but is no K-vector
+    h0 = HalfSpace(QuadraticSpace(Q, [1, 0]), 0, "vector")
+    w = h0.uspace.vector([0, 1, 0, 0])
+    assert w.q() == h0.c and w.in_radical()
+    with pytest.raises(InvariantViolation):
+        h0.from_K(w)
 
 
 def test_translation_and_dilation_action(hs):
@@ -391,7 +403,7 @@ def _k_set_reference(h):
     for coords in itertools.product(list(h.field.elements()),
                                     repeat=h.uspace.dim):
         w = h.uspace.vector(coords)
-        if h.k_contains(w):
+        if w.q() == h.c and not w.in_radical():
             out.append(w)
     return out
 
@@ -471,13 +483,24 @@ def _census_halfspace(p, qdiag, pairs, kind, c):
 
 def test_integer_k_set_matches_vector_scan():
     """On every GF(3) form of dim <= 2 and GF(5) form of dim <= 1, for
-    every c and both kinds, in the same order."""
-    count = 0
+    every c and both kinds, in the same order; from_K inverts to_K on each
+    K-vector and refuses every other vector of the space."""
+    count = refused = 0
     for field, max_dim in ((F3, 2), (F5, 1)):
         for h in _halfspaces(field, max_dim):
-            assert h.k_set() == _k_set_reference(h)
+            k_set = h.k_set()
+            assert k_set == _k_set_reference(h)
+            for w in k_set:
+                assert h.to_K(h.from_K(w)) == w
+            k_set = set(k_set)
+            for t in residue_tuples(field.modulus, h.uspace.dim):
+                w = h.uspace.vector(t)
+                if w not in k_set:
+                    with pytest.raises(InvariantViolation):
+                        h.from_K(w)
+                    refused += 1
             count += 1
-    assert count == 31 * 3 * 2 + 6 * 5 * 2
+    assert count == 31 * 3 * 2 + 6 * 5 * 2 and refused > 0
 
 
 def test_direct_lift_matches_embedded_sum():
@@ -915,14 +938,19 @@ def _check_layout(h, p):
     x = h.part_element(part)
     assert x == _part_element_by_kind(h, part)
     assert h._element_to_part(x) == _element_to_part_by_kind(h, x) == part
+    # from_K reads the part where the reference writes it, and to_K writes
+    # it where the reference reads it
     u = _part_coords_in_u_by_kind(h, part)
-    for coords in (u, list(h.to_K(p).coords)):
-        assert h._u_coords_to_part(coords, False) == \
-            _u_coords_to_part_by_kind(h, coords)
+    u[h.f_idx], u[h.e_idx] = h.field.one, h.c - h.part_q(part)
+    assert h.from_K(h.uspace.vector(u)) == h.regular_point(part, 1)
+    w = h.to_K(p)
+    assert h.from_K(w) == p
+    u_part, e = _u_coords_to_part_by_kind(h, w.coords)
+    f = w.coords[h.f_idx]
     if p.boundary:
-        w = h.to_K(p).coords
-        assert h._u_coords_to_part(w, True) == (part, p.height)
+        assert (u_part, e, f) == (part, p.height, h.field.zero)
     else:
+        assert tuple(y / f for y in u_part) == part and f * p.height == 1
         z = h.lift(p)
         assert z == _lift_by_kind(h, p)
         assert h._split(z) == _split_by_kind(h, z) == (part, p.height)
@@ -1318,6 +1346,9 @@ def test_orbit_sizes_ascend_and_representatives_follow_the_sort_key(
     reps = [point_from_json(h, p) for p in report["orbit_representatives"]]
     assert reps == sorted(reps, key=halfspace._point_sort_key)
     assert len(set(reps)) == 4
+    for p in reps:  # each is the least point of its orbit
+        orbit = _orbit_reference(h, p, [weyl(h.space)])
+        assert p == min(orbit, key=halfspace._point_sort_key)
 
 
 # -- the K-model action in M2(C(V)) -------------------------------------------

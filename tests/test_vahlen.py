@@ -10,7 +10,7 @@ from vahlen.fields import InfiniteField, PrimeField, Q
 from vahlen.groups import CMatrix2, in_group, matrix_to_CU, matrix_to_CUF
 from vahlen.matrices import (NotVahlen, TooLarge, check_condition,
                              condition3_failure, diagnose, dilation,
-                             generator, in_T, is_vahlen, matrix_from_json,
+                             in_T, is_vahlen, matrix_from_json,
                              matrix_inverse, matrix_to_json, pseudo_det,
                              random_vahlen, translation, vector_scalar,
                              verify_equivalence_exhaustive, weyl)
@@ -78,15 +78,7 @@ def test_weyl_translate_product_matrix(space):
     assert diagnose(m, "vector")["agree"]
     assert is_vahlen(m, "vector")
     assert pseudo_det(m, "vector") == Q.one
-
-
-def test_generator_dispatch(space):
-    m = generator(space, "vector", "translation", space.vector([1, 0]))
-    assert is_vahlen(m, "vector")
-    assert generator(space, "vector", "weyl") == weyl(space)
-    with pytest.raises(ValueError):
-        generator(space, "vector", "spin")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a translation needs a vector
         translation(space, "vector", CliffordElement.one(space))
 
 
