@@ -68,9 +68,12 @@ from .matrices import (CMatrix2, TooLarge, dilation, is_vahlen, pseudo_det,
 from .quadratic import QuadraticSpace, SpaceMismatch
 
 
-# the _census_work an orbit census may reach: the GF(11) dim-2 paravector
-# census at c = 1 (_census_work 1.23e6) takes 1.4-2 s and the GF(7)
-# dim-3 one (0.91e6) 1.6-2 s (2-vCPU Xeon VM, Python 3.11)
+# the _census_work an orbit census may reach, in (special, full) seconds:
+# the largest admitted, GF(1409) [] vector (1.99e6), takes (1.0, 0.9),
+# GF(13) [1,1] paravector (0.70e6) (1.9, 2.2), and the slowest measured,
+# the GF(3) zero form of dim 9, vector, c = 0 (1.36e6), (85, 16): two
+# special orbits check every pair in C(V_F^c) of dim 10 (2-vCPU Xeon VM,
+# Python 3.11)
 MAX_CENSUS_WORK = 2 * 10**6
 
 
@@ -419,40 +422,37 @@ class HalfSpace:
 
     def census_generators(self, group):
         """Generators used by the orbit BFS: the basis translations T(e_k),
-        the Weyl matrix W = (0, -1; 1, 0), diag(1/d, d) for every nonzero d,
-        and (full group only) every dilation.
+        the Weyl matrix W = (0, -1; 1, 0), diag(1/g, g) for the least
+        primitive root g of GF(p) and (full group only) the dilation by g.
 
         Over GF(p) the basis translations generate T(u) for every part u,
         so the generated group holds diag(x, 1/x) = T(x) W T(1/x) W T(x)
-        W^-1 for every invertible part x, and every Vahlen matrix (A, B;
-        d, D) of pseudo-determinant 1 with d a nonzero scalar, which is
-        T(A/d) W diag(d, 1/d) T(D/d)."""
-        space = self.space
+        W^-1 for every invertible part x, diag(1/d, d) = diag(1/g, g)^k and
+        dilation(d) = dilation(g)^k for each d = g^k, and every Vahlen
+        matrix (A, B; d, D) of pseudo-determinant 1 with d a nonzero scalar,
+        which is T(A/d) W diag(d, 1/d) T(D/d)."""
+        space, p = self.space, self._modulus()
+        # the least g whose powers fill F^x, found by that definition
+        g = next(x for x in range(1, p)
+                 if len({pow(x, k, p) for k in range(p - 1)}) == p - 1)
         gens = [translation(space, self.kind, xi)
                 for xi in probe_elements(space, self.kind)]
-        gens.append(weyl(space))
-        nonzero = [s for s in self.field.elements() if not s.is_zero()]
-        for d in nonzero:
-            gens.append(_diag(space, d.inverse(), d))
+        gens += [weyl(space), _diag(space, pow(g, -1, p), g)]
         if group == "full":
-            for a in nonzero:
-                gens.append(dilation(space, a))
-        for g in gens:
-            if not is_vahlen(g, self.kind):
+            gens.append(dilation(space, g))
+        for m in gens:
+            if not is_vahlen(m, self.kind):
                 raise AssertionError("census generator failed Vahlen check")
         return gens
 
     def _census_work(self):
-        """A bound on the permutation lookups of one census sweep, and so on
-        its Moebius applications: points <= p^n (2p - 1), for n =
-        part_len, times n + 1 + 4(p - 1).  The census applies at most n + 1
-        + 2(p - 1) generators (translations, Weyl, diag(1/d, d),
-        dilations).  The other 2(p - 1), once allowed for norm diagonals
-        and transitivity witnesses, are slack, kept so that MAX_CENSUS_WORK
-        admits the same configurations until the guard is measured again.
-        The K-set scan of p^(n + 2) vectors is below it."""
+        """A bound on the work of one census sweep, n = part_len: points <=
+        p^n (2p - 1) times the n + 3 generators at most that run, the
+        permutation lookups, which bound the Moebius checks; and the K-set
+        scan of p^(n + 2) vectors, which also bounds the height checks of
+        an unrepresented c, as |N| <= p - 1."""
         p, n = self._modulus(), self.part_len
-        return p ** n * (2 * p - 1) * (n + 1 + 4 * (p - 1))
+        return p ** n * ((2 * p - 1) * (n + 3) + p * p)
 
     def _orbits(self, points, gens):
         """The orbits of gens on points, each a list led by its least point,
@@ -530,26 +530,24 @@ class HalfSpace:
             "transitive": len(orbits) == 1,
         }
         if boundary_count == 0 and group == "special":
-            part_count = self.field.modulus ** self.part_len
-            realized = sorted(
-                (t for t in (p.height for p in base_orbit
-                             if not any(p.raw_part))),
-                key=lambda s: s.value)
+            mod = self.field.modulus
+            part_count = mod ** self.part_len
+            realized = sorted((p.height for p in base_orbit
+                               if not any(p.raw_part)), key=lambda s: s.value)
             realized_set = set(realized)
-            closed = all(x * y in realized_set
-                         for x in realized_set for y in realized_set)
+            # the x of the cyclic F^x with x^|N| = 1 form its subgroup of
+            # order gcd(|N|, p - 1): N lies in it exactly when N is closed
+            size = len(realized_set)
+            closed = all(pow(t.value, size, mod) == 1 for t in realized_set)
             squares = all(
                 s * s in realized_set
                 for s in self.field.elements() if not s.is_zero())
-            index = (self.field.modulus - 1) // len(realized_set)
+            index = (mod - 1) // size
             cosets_ok = True
             for orb in orbits:
                 heights = {p.height for p in orb}
-                rep = next(iter(heights))
-                coset = {rep * s for s in realized_set}
-                if heights != coset or \
-                        len(orb) != len(coset) * part_count:
-                    cosets_ok = False
+                coset = {next(iter(heights)) * s for s in realized_set}
+                cosets_ok &= heights == coset and len(orb) == size * part_count
             report["norm_subgroup"] = [str(t) for t in realized]
             report["norm_subgroup_closed"] = closed
             report["contains_squares"] = squares

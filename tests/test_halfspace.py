@@ -473,7 +473,7 @@ CENSUS_CONFIGS = [
     (5, [1, 0], {(0, 1): 1}, "vector", 1, 119),
     (3, [1, 0], {(0, 1): 1}, "paravector", 1, 71),
     (3, [1, 0, 1], {}, "paravector", -1, 215),
-    (5, [1], {}, "vector", 0, 144),
+    (5, [1], {}, "vector", 0, 72),
 ]
 
 
@@ -611,7 +611,7 @@ def test_census_checks_each_discovery_edge_or_every_pair(monkeypatch):
                               else points * len(gens))
         assert applied[h] == checks
         total += applied[h]
-    assert total == 1882
+    assert total == 1810
 
 
 def _orbit_reference(h, start, gens):
@@ -778,7 +778,8 @@ def test_dropped_generators_lie_in_the_generated_group():
     """On every GF(3) half-space of dim <= 2 and GF(5) half-space of dim
     <= 1, both kinds: each norm diagonal diag(x, 1/x) is T(x) W T(1/x) W
     T(x) W^3, and each witness (A, B; d, D) of each nonzero a is T(A/d) W
-    diag(d, 1/d) T(D/d), with diag(d, 1/d) a census generator."""
+    diag(d, 1/d) T(D/d), with diag(d, 1/d) a power of the census diagonal
+    diag(1/g, g)."""
     diagonals = witnesses = 0
     for field, max_dim in ((F3, 2), (F5, 1)):
         for h in _halfspaces(field, max_dim):
@@ -786,7 +787,10 @@ def test_dropped_generators_lie_in_the_generated_group():
             w = weyl(space)
             w3 = w * w * w
             one = CliffordElement.one(space)
-            gens = h.census_generators("special")
+            census_diag = h.census_generators("special")[h.part_len + 1]
+            powers = [census_diag]
+            while len(powers) < field.modulus - 1:
+                powers.append(powers[-1] * census_diag)
             for m in _norm_diagonals_reference(h):
                 x, x_inv = m.a, m.d
                 assert x * x_inv == one
@@ -800,7 +804,7 @@ def test_dropped_generators_lie_in_the_generated_group():
                 for m in _transitivity_witness_reference(h, a):
                     d = m.c.to_scalar()
                     diag = halfspace._diag(space, d, d.inverse())
-                    assert diag in gens
+                    assert diag in powers
                     assert m == (translation(space, kind, m.a * d.inverse())
                                  * w * diag
                                  * translation(space, kind,
@@ -810,16 +814,122 @@ def test_dropped_generators_lie_in_the_generated_group():
 
 
 def test_census_matches_reference_generators(monkeypatch):
-    """Every GF(3) form of dim <= 1 for every c, both kinds and both groups,
-    and two benchmark configurations: the census reports are equal under
-    the reference generators."""
-    halfspaces = list(_halfspaces(F3, 1))
-    halfspaces += [_census_halfspace(*CENSUS_CONFIGS[i][:5]) for i in (4, 6)]
+    """Every GF(3), GF(5) and GF(7) form of dim <= 1 for every c, both kinds
+    and both groups, and the GF(3) dim-2 benchmark configuration: the
+    census reports are equal under the reference generators, which hold
+    every scalar diagonal and dilation where the census holds those of one
+    primitive root.  Over GF(3) the scalar diagonals are I and -I alone, so
+    only GF(5) and GF(7) tell one root from all of them."""
+    halfspaces = [h for field in (F3, F5, PrimeField(7))
+                  for h in _halfspaces(field, 1)]
+    halfspaces.append(_census_halfspace(*CENSUS_CONFIGS[4][:5]))
     groups = ("special", "full")
     reports = [h.orbit_census(g) for h in halfspaces for g in groups]
     monkeypatch.setattr(HalfSpace, "census_generators",
                         _census_generators_reference)
     assert reports == [h.orbit_census(g) for h in halfspaces for g in groups]
+
+
+def test_height_check_matches_product_closure(monkeypatch):
+    """Every GF(3), GF(5) and GF(7) form of dim <= 1 whose c is not a
+    q-value, both kinds, under the census generators and under the Weyl
+    matrix alone: norm_subgroup_closed is the |N|^2 product test of the
+    realized heights N, and both verdicts occur."""
+    real_generators = HalfSpace.census_generators
+    verdicts = Counter()
+    for field in (F3, F5, PrimeField(7)):
+        for h in _halfspaces(field, 1):
+            if h.represented():
+                continue
+            for only_weyl in (False, True):
+                monkeypatch.setattr(
+                    HalfSpace, "census_generators",
+                    (lambda self, group: [weyl(self.space)]) if only_weyl
+                    else real_generators)
+                report = h.orbit_census("special")
+                heights = {field.parse(t) for t in report["norm_subgroup"]}
+                closed = all(x * y in heights for x in heights for y in heights)
+                assert report["norm_subgroup_closed"] == closed
+                verdicts[closed] += 1
+    assert verdicts[False] > 0 and verdicts[True] > 0
+
+
+def _order(g, p):
+    x, k = g, 1
+    while x != 1:
+        x, k = x * g % p, k + 1
+    return k
+
+
+def test_census_root_is_the_least_primitive_root():
+    """For every odd prime below 200, the full group's dilation by g has g
+    of order p - 1 and no smaller residue of that order, and the census
+    diagonal is diag(1/g, g); over GF(3), GF(5), GF(7) and GF(13) with
+    parts of length n = 0 to 3, those are the only generators past the n
+    translations and W: n + 2 of them for the special group, n + 3 for the
+    full group."""
+    primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+    assert len(primes) == 45
+    for p in primes:
+        field = PrimeField(p)
+        space = QuadraticSpace(field, [])
+        w, diag, dil = HalfSpace(space, 1, "vector").census_generators("full")
+        g = dil.a.to_scalar()
+        assert dil == dilation(space, g) and w == weyl(space)
+        assert diag == halfspace._diag(space, g.inverse(), g)
+        assert _order(g.value, p) == p - 1
+        assert all(_order(x, p) < p - 1 for x in range(1, g.value))
+    for p in (3, 5, 7, 13):
+        field = PrimeField(p)
+        for space in (QuadraticSpace(field, []), QuadraticSpace(field, [1, 1])):
+            for kind in ("vector", "paravector"):
+                h = HalfSpace(space, 1, kind)
+                n = h.part_len
+                special = h.census_generators("special")
+                full = h.census_generators("full")
+                assert (len(special), len(full)) == (n + 2, n + 3)
+                assert full[:n + 2] == special
+                g = full[-1].a.to_scalar()
+                assert special[n:] == [weyl(space),
+                                       halfspace._diag(space, g.inverse(), g)]
+                assert full[-1] == dilation(space, g)
+
+
+def test_census_guard_bounds_the_work_that_runs(monkeypatch):
+    """The benchmark configurations and every GF(3) form of dim <= 1, every
+    c, both kinds and both groups: _census_work is at least the permutation
+    lookups (points x generators run) plus the K-scan of p^(dim V_U)
+    vectors, and the lookups bound the Moebius checks.  Read off the bound
+    alone, GF(13) [1,1] paravector is admitted and GF(17) [1,1] refused."""
+    lookups, applied = Counter(), Counter()  # keyed by the half-space
+    real_orbits, real_apply = HalfSpace._orbits, HalfSpace.mobius_apply
+
+    def counting_orbits(self, points, gens):
+        lookups[self] += len(points) * len(gens)
+        return real_orbits(self, points, gens)
+
+    def counting_apply(self, m, p):
+        applied[self] += 1
+        return real_apply(self, m, p)
+
+    monkeypatch.setattr(HalfSpace, "_orbits", counting_orbits)
+    monkeypatch.setattr(HalfSpace, "mobius_apply", counting_apply)
+    halfspaces = [_census_halfspace(*config[:5]) for config in CENSUS_CONFIGS]
+    halfspaces += _halfspaces(F3, 1)
+    censuses = 0
+    for h in halfspaces:
+        for group in ("special", "full"):
+            lookups.clear()
+            applied.clear()
+            h.orbit_census(group)
+            scan = h.field.modulus ** h.uspace.dim
+            assert h._census_work() >= lookups[h] + scan
+            assert 0 < applied[h] <= lookups[h]
+            censuses += 1
+    assert censuses == 2 * (len(CENSUS_CONFIGS) + 4 * 3 * 2)
+    for p, admitted in ((13, True), (17, False)):
+        h = HalfSpace(QuadraticSpace(PrimeField(p), [1, 1]), 1, "paravector")
+        assert (h._census_work() <= halfspace.MAX_CENSUS_WORK) == admitted
 
 
 def test_kept_entries_follow_the_target_algebra():
